@@ -2,6 +2,17 @@
 
 namespace polydab::core {
 
+namespace {
+
+/// The assembled GP of one Dual-DAB solve: Build performs the assembly
+/// before the solve, Extract the read-out after it.
+struct DualDabProgram {
+  gp::GpProblem gp;
+  GpVarMap map;
+  Vector warm_x;          ///< packed (b, c, R) warm point
+  bool has_warm = false;  ///< warm point accepted (vars match, R > 0)
+};
+
 Result<DualDabProgram> BuildDualDabProgram(const PolynomialQuery& query,
                                            const Vector& values,
                                            const Vector& rates,
@@ -90,6 +101,8 @@ QueryDabs ExtractDualDab(const DualDabProgram& prog,
   }
   return out;
 }
+
+}  // namespace
 
 Result<QueryDabs> SolveDualDab(const PolynomialQuery& query,
                                const Vector& values, const Vector& rates,

@@ -2,6 +2,18 @@
 
 namespace polydab::core {
 
+namespace {
+
+/// The assembled GP of one refresh-optimal solve: Build performs the
+/// assembly before the solve, Extract the read-out after it.
+struct OptimalRefreshProgram {
+  gp::GpProblem gp;
+  GpVarMap map;
+  Vector warm_x;          ///< previous primary DABs
+  bool has_warm = false;  ///< warm point accepted (vars match)
+  DataDynamicsModel ddm = DataDynamicsModel::kMonotonic;
+};
+
 Result<OptimalRefreshProgram> BuildOptimalRefreshProgram(
     const PolynomialQuery& query, const Vector& values, const Vector& rates,
     DataDynamicsModel ddm, const QueryDabs* warm) {
@@ -52,6 +64,8 @@ QueryDabs ExtractOptimalRefresh(const OptimalRefreshProgram& prog,
   out.recompute_rate = total;
   return out;
 }
+
+}  // namespace
 
 Result<QueryDabs> SolveOptimalRefresh(const PolynomialQuery& query,
                                       const Vector& values,

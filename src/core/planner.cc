@@ -1,32 +1,27 @@
 #include "core/planner.h"
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
 #include <utility>
 
-#include "gp/solve_engine.h"
 #include "obs/trace.h"
 
 namespace polydab::core {
 
 namespace {
 
-/// Record a planner event on the run's causal trace, stamped with the
-/// sink's logical clock (the driving simulator advances it). One branch
-/// when tracing is off, like every other emission site.
-void TracePlannerEvent(const PlannerConfig& config, obs::TraceEventKind kind,
-                       int query, bool ok) {
+/// Record a planner_plan event on the run's causal trace, stamped with
+/// the sink's logical clock (the driving simulator advances it). One
+/// branch when tracing is off, like every other emission site.
+void TracePlan(const PlannerConfig& config, int query) {
   if (config.trace == nullptr) return;
   obs::TraceEvent e;
-  e.time = std::isnan(config.trace_time) ? config.trace->now()
-                                         : config.trace_time;
-  e.kind = kind;
+  e.time = config.trace->now();
+  e.kind = obs::TraceEventKind::kPlannerPlan;
   e.node = config.trace_node;
-  e.thread = config.trace_thread;
   e.query = query;
-  e.flag = ok ? 1 : 0;
+  e.flag = 1;
   config.trace->Emit(e);
 }
 
@@ -169,8 +164,7 @@ Result<QueryPlan> PlanQueryParts(const PolynomialQuery& query,
     POLYDAB_ASSIGN_OR_RETURN(QueryDabs d,
                              SolveLaq(query, rates, config.dual.ddm));
     plan.parts.push_back(PlanPart{query, std::move(d)});
-    TracePlannerEvent(config, obs::TraceEventKind::kPlannerPlan, query.id,
-                      true);
+    TracePlan(config, query.id);
     return plan;
   }
   POLYDAB_ASSIGN_OR_RETURN(std::vector<PolynomialQuery> subs,
@@ -180,8 +174,7 @@ Result<QueryPlan> PlanQueryParts(const PolynomialQuery& query,
     POLYDAB_ASSIGN_OR_RETURN(QueryDabs d, solve(sub, nullptr));
     plan.parts.push_back(PlanPart{std::move(sub), std::move(d)});
   }
-  TracePlannerEvent(config, obs::TraceEventKind::kPlannerPlan, query.id,
-                    true);
+  TracePlan(config, query.id);
   return plan;
 }
 
@@ -198,129 +191,11 @@ Result<QueryDabs> ReplanPart(const PlanPart& part, const Vector& values,
           : MakeSubSolver(values, rates, config)(part.subquery, &part.dabs);
   if (reg != nullptr) {
     reg->GetCounter("core.planner.replans")->Inc();
-    if (!part.subquery.IsLinearAggregate()) {
-      // Every replan is warm-started from the part's previous assignment;
-      // a hit is a warm solve that actually succeeded. Hit rate =
-      // hits / (hits + misses).
-      reg->GetCounter(result.ok() ? "core.planner.warm_start_hits"
-                                  : "core.planner.warm_start_misses")
-          ->Inc();
-    }
+    // Registered even at zero so every report carries the counter.
+    obs::Counter* failures = reg->GetCounter("core.planner.replan_failures");
+    if (!result.ok()) failures->Inc();
   }
-  TracePlannerEvent(config, obs::TraceEventKind::kPlannerReplan,
-                    part.subquery.id, result.ok());
   return result;
-}
-
-std::vector<Result<QueryDabs>> ReplanParts(
-    const std::vector<const PlanPart*>& parts, const Vector& values,
-    const Vector& rates, const PlannerConfig& config,
-    gp::SolveEngine* engine) {
-  const auto t_begin = std::chrono::steady_clock::now();
-  obs::MetricRegistry* reg = config.registry;
-  DualDabParams dual = config.dual;
-  if (dual.solver.registry == nullptr) dual.solver.registry = reg;
-
-  const size_t np = parts.size();
-  std::vector<Result<QueryDabs>> out(
-      np, Result<QueryDabs>(Status::Internal("not solved")));
-
-  // Assembly pass: closed-form parts solve inline; GP parts accumulate
-  // their programs so the engine sees the whole stale set at once. The
-  // method is uniform across the batch, so exactly one of the two program
-  // vectors is populated.
-  std::vector<size_t> gp_idx;
-  std::vector<DualDabProgram> dual_progs;
-  std::vector<OptimalRefreshProgram> opt_progs;
-  for (size_t i = 0; i < np; ++i) {
-    const PlanPart& part = *parts[i];
-    if (part.subquery.IsLinearAggregate()) {
-      out[i] = SolveLaq(part.subquery, rates, dual.ddm);
-      continue;
-    }
-    switch (config.method) {
-      case AssignmentMethod::kWsDab:
-        out[i] = SolveWsDab(part.subquery, values);
-        break;
-      case AssignmentMethod::kDualDab: {
-        Result<DualDabProgram> prog = BuildDualDabProgram(
-            part.subquery, values, rates, dual, &part.dabs);
-        if (!prog.ok()) {
-          out[i] = prog.status();
-          break;
-        }
-        gp_idx.push_back(i);
-        dual_progs.push_back(std::move(prog).value());
-        break;
-      }
-      case AssignmentMethod::kOptimalRefresh: {
-        Result<OptimalRefreshProgram> prog = BuildOptimalRefreshProgram(
-            part.subquery, values, rates, dual.ddm, &part.dabs);
-        if (!prog.ok()) {
-          out[i] = prog.status();
-          break;
-        }
-        gp_idx.push_back(i);
-        opt_progs.push_back(std::move(prog).value());
-        break;
-      }
-    }
-  }
-
-  // One engine round-trip for every GP in the stale set.
-  if (!gp_idx.empty()) {
-    const bool is_dual = config.method == AssignmentMethod::kDualDab;
-    std::vector<gp::SolveEngine::BatchItem> items;
-    items.reserve(gp_idx.size());
-    for (size_t j = 0; j < gp_idx.size(); ++j) {
-      gp::SolveEngine::BatchItem item;
-      if (is_dual) {
-        item.problem = &dual_progs[j].gp;
-        item.warm_start =
-            dual_progs[j].has_warm ? &dual_progs[j].warm_x : nullptr;
-      } else {
-        item.problem = &opt_progs[j].gp;
-        item.warm_start =
-            opt_progs[j].has_warm ? &opt_progs[j].warm_x : nullptr;
-      }
-      items.push_back(item);
-    }
-    std::vector<Result<gp::GpSolution>> sols =
-        engine->SolveBatch(items, dual.solver);
-    for (size_t j = 0; j < gp_idx.size(); ++j) {
-      if (!sols[j].ok()) {
-        out[gp_idx[j]] = sols[j].status();
-      } else if (is_dual) {
-        out[gp_idx[j]] = ExtractDualDab(dual_progs[j], sols[j].value());
-      } else {
-        out[gp_idx[j]] =
-            ExtractOptimalRefresh(opt_progs[j], rates, sols[j].value());
-      }
-    }
-  }
-
-  // Instrument totals identical to np individual ReplanPart calls: one
-  // replan_seconds sample per part (an equal share of the batch wall
-  // time — the histogram's count is the invariant the diff harness
-  // checks; wall values are machine noise either way), one replans
-  // increment per part, and a warm hit/miss per GP-method part.
-  if (reg != nullptr && np > 0) {
-    const std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - t_begin;
-    const double share = dt.count() / static_cast<double>(np);
-    obs::Histogram* replan_s =
-        reg->GetHistogram("core.planner.replan_seconds");
-    for (size_t i = 0; i < np; ++i) {
-      replan_s->Record(share);
-      reg->GetCounter("core.planner.replans")->Inc();
-      if (!parts[i]->subquery.IsLinearAggregate()) {
-        reg->GetCounter(out[i].ok() ? "core.planner.warm_start_hits"
-                                    : "core.planner.warm_start_misses")
-            ->Inc();
-      }
-    }
-  }
-  return out;
 }
 
 StalenessWidening WideningFor(const PolynomialQuery& query, VarId item,

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <limits>
 #include <string>
 
 #include "common/status.h"
@@ -48,26 +47,18 @@ struct PlannerConfig {
   /// to Optimal Refresh.
   DualDabParams dual;
   /// Optional telemetry sink recording the `core.planner.*` instruments
-  /// (plan/replan latency, warm-start hit rate) and, propagated into the
+  /// (plan/replan latency, replan failures) and, propagated into the
   /// GP solver, the `gp.solver.*` instruments. Null = off. Not owned.
   obs::MetricRegistry* registry = nullptr;
-  /// Optional causal event trace (obs/trace.h): emits planner_plan /
-  /// planner_replan events stamped with the sink's logical clock. The
+  /// Optional causal event trace (obs/trace.h): PlanQueryParts emits a
+  /// planner_plan event stamped with the sink's logical clock. The
   /// driving simulator sets both fields; `trace_node` tags the events
   /// with the coordinator the planner is working for. Null = off.
-  /// Not owned.
+  /// Not owned. ReplanPart never emits: its caller records the
+  /// planner_replan event at the install slot, so a replan may run on
+  /// any thread.
   obs::TraceSink* trace = nullptr;
   int32_t trace_node = -1;
-  /// Worker-side emission overrides for the real-thread lane runtime
-  /// (src/rt/, docs/CONCURRENCY.md). A planner running on a pool worker
-  /// must not read the sink's logical clock — the event loop advances it
-  /// concurrently — so the dispatcher pins the event timestamp here; NaN
-  /// (the default) means "stamp trace->now()". `trace_thread` tags the
-  /// planner events with the emitting worker (-1: the event-loop thread);
-  /// the canonical re-sort pass (obs/trace_canon.h) strips the tags.
-  /// Neither field is configuration, so Describe() ignores both.
-  double trace_time = std::numeric_limits<double>::quiet_NaN();
-  int32_t trace_thread = -1;
 
   /// One-line rendering of every knob, for run reports and test failures,
   /// e.g. "method=dual heuristic=ds ddm=mono mu=5".
@@ -110,29 +101,12 @@ Result<QueryPlan> PlanQueryParts(const PolynomialQuery& query,
 /// \brief Re-solve one part after its validity range was violated,
 /// warm-starting from the part's previous assignment. The part's subquery
 /// is fixed at PlanQueryParts time (the sign split does not depend on
-/// data values).
+/// data values). Emits no trace event and reads no shared mutable state
+/// beyond the thread-safe registry and solve engine, so it is safe to
+/// run on a pool worker.
 Result<QueryDabs> ReplanPart(const PlanPart& part, const Vector& values,
                              const Vector& rates,
                              const PlannerConfig& config);
-
-/// \brief Re-solve many stale parts through one batched engine call
-/// (gp/solve_engine.h, docs/SOLVER.md). Results come back in input order
-/// and each is bit-identical to what `ReplanPart` on that part alone
-/// would return: the GP programs are assembled by the same Build step the
-/// per-part solvers use, the engine only groups/memoizes bitwise-equal
-/// work, and closed-form parts (LAQs, WS-DAB) solve inline. The
-/// `core.planner.*` and `gp.solver.*` instrument totals on
-/// `config.registry` also match N individual calls (replan_seconds gets
-/// one sample per part, each an equal share of the batch wall time).
-///
-/// Unlike `ReplanPart`, this does NOT emit planner_replan trace events:
-/// the caller interleaves each part's replan between its own
-/// recompute_start/end, so it re-emits the events at those exact slots
-/// (src/sim/simulation.cc's batched service pass).
-std::vector<Result<QueryDabs>> ReplanParts(
-    const std::vector<const PlanPart*>& parts, const Vector& values,
-    const Vector& rates, const PlannerConfig& config,
-    gp::SolveEngine* engine);
 
 /// Staleness-aware bound widening (the robustness protocol's graceful
 /// degradation, docs/ROBUSTNESS.md): when an item's source lease expires,

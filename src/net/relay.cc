@@ -282,7 +282,6 @@ Result<RelayMetrics> RunRelayOverlay(
           ++metrics.recomputations;
           uint64_t start_id = 0;
           if (trace != nullptr) {
-            planner_cfg.trace_node = ev.node;
             obs::TraceEvent e;
             e.time = ev.time;
             e.kind = obs::TraceEventKind::kRecomputeStart;
@@ -295,6 +294,15 @@ Result<RelayMetrics> RunRelayOverlay(
           }
           auto fresh = core::ReplanPart(part, node.view, rates,
                                         planner_cfg);
+          if (trace != nullptr) {
+            obs::TraceEvent e;
+            e.time = ev.time;
+            e.kind = obs::TraceEventKind::kPlannerReplan;
+            e.node = ev.node;
+            e.query = part.subquery.id;
+            e.flag = fresh.ok() ? 1 : 0;
+            trace->Emit(e);
+          }
           uint64_t end_id = 0;
           if (trace != nullptr) {
             obs::TraceEvent e;

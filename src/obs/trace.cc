@@ -1,8 +1,11 @@
 #include "obs/trace.h"
 
+#include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cstring>
 
+#include "common/logging.h"
 #include "obs/json_util.h"
 
 namespace polydab::obs {
@@ -85,7 +88,6 @@ void AppendEventLine(std::string* out, const TraceEvent& e) {
   if (e.query != -1) AppendIntField(out, "query", e.query);
   if (e.part != -1) AppendIntField(out, "part", e.part);
   if (e.shard != -1) AppendIntField(out, "shard", e.shard);
-  if (e.thread != -1) AppendIntField(out, "thread", e.thread);
   if (e.cause != 0) {
     AppendIntField(out, "cause", static_cast<int64_t>(e.cause));
   }
@@ -147,7 +149,9 @@ void AppendInfoLine(std::string* out, const std::string& key,
 }
 
 /// Field accessors for the flat-map parse results, with required/default
-/// semantics per record type.
+/// semantics per record type. Every key a record reads is marked used, so
+/// Finish() can fail closed on keys no reader asked for: a misspelt or
+/// retired key, or a known key carrying the wrong JSON type.
 class Fields {
  public:
   Fields(const std::string& line,
@@ -155,31 +159,71 @@ class Fields {
          const std::map<std::string, double>& numbers)
       : line_(line), strings_(strings), numbers_(numbers) {}
 
-  Result<double> Num(const char* key) const {
+  Result<double> Num(const char* key) {
     auto it = numbers_.find(key);
     if (it == numbers_.end()) {
       return Status::InvalidArgument("trace line missing '" +
                                      std::string(key) + "': " + line_);
     }
+    MarkUsed(it->first);
     return it->second;
   }
-  double NumOr(const char* key, double dflt) const {
+  double NumOr(const char* key, double dflt) {
     auto it = numbers_.find(key);
-    return it == numbers_.end() ? dflt : it->second;
+    if (it == numbers_.end()) return dflt;
+    MarkUsed(it->first);
+    return it->second;
   }
-  Result<std::string> Str(const char* key) const {
+  Result<std::string> Str(const char* key) {
     auto it = strings_.find(key);
     if (it == strings_.end()) {
       return Status::InvalidArgument("trace line missing '" +
                                      std::string(key) + "': " + line_);
     }
+    MarkUsed(it->first);
     return it->second;
   }
 
+  /// OK when every key on the line was read (each reader reads a key at
+  /// most once, so a count suffices on the happy path).
+  Status Finish() const {
+    if (num_used_ == strings_.size() + numbers_.size()) {
+      return Status::OK();
+    }
+    auto unused = [this](const std::string& key) {
+      const auto end = used_.begin() + static_cast<long>(num_used_);
+      return std::find(used_.begin(), end, &key) == end;
+    };
+    for (const auto& [key, value] : strings_) {
+      if (unused(key)) return Unknown(key);
+    }
+    for (const auto& [key, value] : numbers_) {
+      if (unused(key)) return Unknown(key);
+    }
+    return Status::OK();
+  }
+
  private:
+  /// Parsing runs once per trace line, so the used set lives inline
+  /// rather than on the heap. No record type reads more than kMaxKeys
+  /// keys, so the check below only fires on a reader bug.
+  static constexpr size_t kMaxKeys = 32;
+
+  void MarkUsed(const std::string& key) {
+    POLYDAB_CHECK(num_used_ < kMaxKeys);
+    used_[num_used_++] = &key;
+  }
+
+  Status Unknown(const std::string& key) const {
+    return Status::InvalidArgument("unknown or mistyped key '" + key +
+                                   "': " + line_);
+  }
+
   const std::string& line_;
   const std::map<std::string, std::string>& strings_;
   const std::map<std::string, double>& numbers_;
+  std::array<const std::string*, kMaxKeys> used_{};
+  size_t num_used_ = 0;
 };
 
 Status ParseLineInto(const std::string& line, TraceFile* out) {
@@ -191,7 +235,9 @@ Status ParseLineInto(const std::string& line, TraceFile* out) {
 
   if (type == "info") {
     POLYDAB_ASSIGN_OR_RETURN(std::string key, f.Str("key"));
-    POLYDAB_ASSIGN_OR_RETURN(out->info[key], f.Str("value"));
+    POLYDAB_ASSIGN_OR_RETURN(std::string value, f.Str("value"));
+    POLYDAB_RETURN_NOT_OK(f.Finish());
+    out->info[key] = std::move(value);
     return Status::OK();
   }
   if (type == "query_info") {
@@ -213,6 +259,7 @@ Status ParseLineInto(const std::string& line, TraceFile* out) {
       p = end;
       while (*p == ' ') ++p;
     }
+    POLYDAB_RETURN_NOT_OK(f.Finish());
     out->queries.push_back(std::move(q));
     return Status::OK();
   }
@@ -232,12 +279,12 @@ Status ParseLineInto(const std::string& line, TraceFile* out) {
     e.query = static_cast<int32_t>(f.NumOr("query", -1.0));
     e.part = static_cast<int32_t>(f.NumOr("part", -1.0));
     e.shard = static_cast<int32_t>(f.NumOr("shard", -1.0));
-    e.thread = static_cast<int32_t>(f.NumOr("thread", -1.0));
     e.cause = static_cast<uint64_t>(f.NumOr("cause", 0.0));
     e.a = f.NumOr("a", 0.0);
     e.b = f.NumOr("b", 0.0);
     e.c = f.NumOr("c", 0.0);
     e.flag = static_cast<int32_t>(f.NumOr("flag", 0.0));
+    POLYDAB_RETURN_NOT_OK(f.Finish());
     out->events.push_back(e);
     return Status::OK();
   }
@@ -271,6 +318,7 @@ Status ParseLineInto(const std::string& line, TraceFile* out) {
         static_cast<int64_t>(f.NumOr("duplicates_suppressed", 0.0));
     s.lease_expiries = static_cast<int64_t>(f.NumOr("lease_expiries", 0.0));
     s.degraded_query_seconds = f.NumOr("degraded_query_seconds", 0.0);
+    POLYDAB_RETURN_NOT_OK(f.Finish());
     out->summaries.push_back(s);
     return Status::OK();
   }

@@ -31,11 +31,11 @@
 ///  * Emit is cheap: an id assignment plus a struct store into a
 ///    preallocated ring segment, under the sink mutex. The segment
 ///    flushes to an attached JSON-lines file when full (streaming mode)
-///    or grows (capture mode). Emit is thread-safe — the real-thread
-///    lane runtime (src/rt/, docs/CONCURRENCY.md) emits from pool
-///    workers concurrently with the event loop — and the id is assigned
-///    inside the critical section, so the buffered/streamed record order
-///    always equals id order.
+///    or grows (capture mode). Emit is thread-safe, and the id is
+///    assigned inside the critical section, so the buffered/streamed
+///    record order always equals id order even with concurrent emitters.
+///    (The real-thread lane runtime does not rely on this: its workers
+///    emit nothing, docs/CONCURRENCY.md.)
 ///  * The on-disk format is JSON-lines with an exact-inverse parser, in
 ///    the style of run_report.h / workload/trace_io.h.
 
@@ -198,14 +198,6 @@ bool ParseTraceEventKind(const std::string& name, TraceEventKind* out);
 /// processed on — on arrivals, violations, recomputes, DAB-change sends
 /// and user notifications; serial runs leave it at -1 and emit byte-wise
 /// the same records as before the field existed.
-///
-/// Real-thread runs (sim/simulation.h, threads > 0; docs/CONCURRENCY.md)
-/// additionally stamp `thread` — the pool worker that emitted the event —
-/// on the planner_replan events the workers produce. The canonical
-/// re-sort pass (obs/trace_canon.h) strips these tags and restores the
-/// single-threaded emission order, so canonicalized and single-threaded
-/// traces are byte-identical; threads = 0 runs never set the field and
-/// keep their exact historical bytes.
 struct TraceEvent {
   uint64_t id = 0;      ///< assigned by the sink; strictly increasing from 1
   double time = 0.0;    ///< simulation seconds
@@ -216,7 +208,6 @@ struct TraceEvent {
   int32_t query = -1;   ///< query id (PolynomialQuery::id, not index)
   int32_t part = -1;    ///< plan part index within the query
   int32_t shard = -1;   ///< coordinator lane (-1: serial / not lane work)
-  int32_t thread = -1;  ///< emitting pool worker (-1: the event-loop thread)
   uint64_t cause = 0;   ///< id of the triggering event; 0 = none
   double a = 0.0;       ///< kind-specific payload (see above)
   double b = 0.0;
@@ -284,7 +275,8 @@ std::string TraceToJsonLines(const TraceFile& trace);
 
 /// Inverse of TraceToJsonLines. Also accepts streamed files (TraceSink
 /// with a file attached), whose record order may interleave; rejects
-/// malformed lines, unknown record types and unknown event kinds.
+/// malformed lines, unknown record types, unknown event kinds and any key
+/// the record type does not define, with a line-numbered diagnostic.
 Result<TraceFile> ParseTraceJsonLines(const std::string& text);
 
 /// File-level convenience wrappers.

@@ -144,10 +144,11 @@ class Checker {
              " has no recompute_end");
       }
     }
-    // The planner is invoked exactly once per non-AAO recomputation
-    // (core::ReplanPart); AAO solves bypass it. Only meaningful when the
-    // producer wired the planner (it emits planner_plan for the initial
-    // plans, so any planner event implies full wiring).
+    // Each non-AAO recomputation records exactly one planner_replan (its
+    // driver emits it after core::ReplanPart); AAO solves bypass the
+    // planner. Only meaningful when the producer wired the planner (it
+    // emits planner_plan for the initial plans, so any planner event
+    // implies full wiring).
     if (planner_events_ > 0 && planner_replans_ != starts_non_aao_) {
       Fail("planner_replan count " + std::to_string(planner_replans_) +
            " != non-AAO recompute_start count " +

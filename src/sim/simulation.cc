@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -332,17 +331,8 @@ Result<SimMetrics> RunSimulation(
   if (config.threads > 0 && config.rt_fail_at < 0) {
     return Status::InvalidArgument("rt_fail_at must be >= 0");
   }
-  if (config.solve_batch < 0) {
-    return Status::InvalidArgument("solve_batch must be >= 0");
-  }
   if (config.solve_cache < 0) {
     return Status::InvalidArgument("solve_cache must be >= 0");
-  }
-  if (config.solve_batch > 0 && config.threads > 0) {
-    // The real-thread runtime already runs its own two-pass dispatch; a
-    // second batching pass would fight it over the stale-set replay.
-    return Status::InvalidArgument(
-        "solve_batch requires the single-threaded engine (threads=0)");
   }
   // A malformed delay or fault config would otherwise surface as a NaN
   // epidemic or a hard CHECK abort deep inside a run; reject it up front
@@ -374,14 +364,6 @@ Result<SimMetrics> RunSimulation(
     }
   }
   if (config.series != nullptr) {
-    if (config.threads > 0) {
-      // The recorder folds events in raw emission order; under the
-      // real-thread runtime that order is nondeterministic until the
-      // canonical re-sort, which runs after the fact.
-      return Status::InvalidArgument(
-          "series recording requires the single-threaded engine "
-          "(threads=0)");
-    }
     // The recorder folds the event stream, so it is meaningless without
     // one; and a replay-mode (derive_samples) recorder re-derives its
     // sample grid from events instead of taking the engine's feed.
@@ -405,7 +387,7 @@ Result<SimMetrics> RunSimulation(
   // Crash-recovery layer (src/recovery/, docs/RECOVERY.md). Restart
   // correctness rests on re-running the tick loop with identical inputs,
   // so engine modes that would need extra non-checkpointed state — series
-  // fold offsets, the solve engine's batch/LRU contents, the AAO joint
+  // fold offsets, the solve engine's LRU contents, the AAO joint
   // solution, the rt fault-injection dispatch counter — are rejected
   // outright rather than half-supported.
   recovery::RecoveryConfig* const rec = config.recovery;
@@ -416,10 +398,10 @@ Result<SimMetrics> RunSimulation(
           "crash recovery is incompatible with series recording (the "
           "recorder's window fold is not checkpointed)");
     }
-    if (config.solve_batch > 0 || config.solve_cache > 0) {
+    if (config.solve_cache > 0) {
       return Status::InvalidArgument(
-          "crash recovery is incompatible with the batched/memoizing solve "
-          "engine (solve_batch/solve_cache); its cache is not checkpointed");
+          "crash recovery is incompatible with the memoizing solve engine "
+          "(solve_cache); its cache is not checkpointed");
     }
     if (config.aao_period_s > 0.0) {
       return Status::InvalidArgument(
@@ -489,18 +471,17 @@ Result<SimMetrics> RunSimulation(
     planner_cfg.dual.solver.registry = planner_cfg.registry;
   }
 
-  // Batched/memoizing solve server (gp/solve_engine.h, docs/SOLVER.md).
+  // Memoizing solve server (gp/solve_engine.h, docs/SOLVER.md).
   // Attached through SolverOptions::engine, so every GP solve in the run
   // — per-part replans, plan-time solves, AAO joint solves, rt workers —
   // routes through the one shared engine; every result is bit-identical
   // to the direct path by construction. Declared before the lane pool so
   // it outlives the workers that hold a pointer to it.
-  const bool engine_on = config.solve_batch > 0 || config.solve_cache > 0;
   gp::SolveEngine::Options engine_opt;
   engine_opt.cache_entries = config.solve_cache;
   engine_opt.registry = config.registry;
   gp::SolveEngine solve_engine(engine_opt);
-  if (engine_on && planner_cfg.dual.solver.engine == nullptr) {
+  if (config.solve_cache > 0 && planner_cfg.dual.solver.engine == nullptr) {
     planner_cfg.dual.solver.engine = &solve_engine;
   }
 
@@ -554,41 +535,33 @@ Result<SimMetrics> RunSimulation(
 
   State st;
 
-  // Real-thread lane runtime (src/rt/, docs/CONCURRENCY.md). The pool is
-  // declared after `st` and after `solve_jobs` so its destructor joins
-  // every worker before anything a job closure references is destroyed,
-  // however the run exits. Each refresh service runs in two passes when
-  // threaded: pass 1 dispatches the stale parts' GP re-solves to the
-  // workers' SPSC rings, pass 2 is the unchanged serial loop consuming
-  // the results in oracle order.
-  struct SolveJob {
-    Result<QueryDabs> result{Status::Internal("rt: job not yet run")};
+  // Refresh-service work list (docs/CONCURRENCY.md): each service
+  // collects its stale parts here in oracle order, executes their GP
+  // re-solves (inline at install, or on the lane pool), then installs
+  // them in the same order.
+  struct StalePart {
+    int qi = 0;
+    size_t pi = 0;
+    size_t idx = 0;       ///< the arriving item's slot in the part's DABs
+    double anchor = 0.0;  ///< the slot's anchor (Dual-DAB only)
     int worker = 0;
     uint64_t epoch = 0;
+    Result<QueryDabs> result{Status::Internal("unsolved")};
   };
-  std::deque<SolveJob> solve_jobs;  // deque: workers hold entry pointers
-  size_t next_solve_job = 0;
+  // Filled completely before any dispatch, so the entry pointers the
+  // workers hold stay valid until the install walk has awaited them all.
+  std::vector<StalePart> stale;
   int64_t solve_jobs_dispatched = 0;
+  // Real-thread lane runtime (src/rt/). Declared after `st` and `stale`
+  // so its destructor joins every worker before anything a job closure
+  // references is destroyed, however the run exits.
   const bool threaded = config.threads > 0;
-  // Batched serial engine (solve_batch > 0): pass 1 collects the stale
-  // parts and re-solves them through core::ReplanParts; pass 2 is the
-  // unchanged serial loop consuming `batch_results` in oracle order.
-  const bool batched = config.solve_batch > 0;
-  std::vector<const core::PlanPart*> batch_parts;
-  std::vector<Result<QueryDabs>> batch_results;
-  size_t next_batch_result = 0;
   rt::LanePool pool;
   if (threaded) {
     rt::LanePool::Options rt_opt;
     rt_opt.workers = config.threads;
     rt_opt.queue_capacity = config.rt_queue_cap;
     POLYDAB_RETURN_NOT_OK(pool.Start(rt_opt));
-    if (trace != nullptr) {
-      // Stripped again by canonicalization (obs/trace_canon.h), so the
-      // canonical trace's info block matches the threads = 0 oracle's.
-      trace->SetInfo("rt_threads", std::to_string(config.threads));
-      trace->SetInfo("rt_queue_cap", std::to_string(config.rt_queue_cap));
-    }
   }
 
   // Restart: rebuild the full slot vector — the initial queries plus any
@@ -1649,105 +1622,63 @@ Result<SimMetrics> RunSimulation(
       lane_busy[home_lane] = delays.Check();
       st.view[static_cast<size_t>(ev.item)] = ev.value;
       view_eval.Update(static_cast<VarId>(ev.item), ev.value);
+      // Collect: the stale parts of this service, in the oracle's install
+      // order. The set cannot change before its install walk below: a
+      // part's anchors and secondary DABs only move at its own install,
+      // and each part appears at most once per service.
+      stale.clear();
+      for (int qi : st.item_queries[static_cast<size_t>(ev.item)]) {
+        const core::QueryPlan& plan = st.plans[static_cast<size_t>(qi)];
+        for (size_t pi = 0; pi < plan.parts.size(); ++pi) {
+          const QueryDabs& dabs = plan.parts[pi].dabs;
+          const int idx = dabs.IndexOf(static_cast<VarId>(ev.item));
+          // Value-independent assignments (LAQs) never go stale.
+          if (idx < 0 || dabs.never_stale) continue;
+          // Single-DAB schemes are stale on every arrival; Dual-DAB parts
+          // only once the value escapes the secondary range.
+          double anchor = 0.0;
+          if (!recompute_every_refresh) {
+            anchor = st.anchors[static_cast<size_t>(qi)][pi]
+                               [static_cast<size_t>(idx)];
+            const double drift = std::fabs(ev.value - anchor);
+            const double limit = dabs.secondary[static_cast<size_t>(idx)] *
+                                 (1.0 + config.violation_tol);
+            if (drift <= limit) continue;
+          }
+          StalePart& sp = stale.emplace_back();
+          sp.qi = qi;
+          sp.pi = pi;
+          sp.idx = static_cast<size_t>(idx);
+          sp.anchor = anchor;
+        }
+      }
+      // Execute on the pool: each part's re-solve goes to its lane's
+      // worker (lane % workers). Workers read st.view / rates / the part
+      // concurrently; the event loop mutates none of them until the
+      // install below awaits the job's epoch. With threads = 0 each part
+      // is solved inline at its install slot instead.
       if (threaded) {
-        // Pass 1: decide the stale-part set — exactly the reads the
-        // serial loop below makes, with no RNG draw and no emission —
-        // and dispatch each part's re-solve to its lane's worker
-        // (lane % workers). The set is stable across the two passes
-        // because a part's anchors and secondary DABs only move at its
-        // own install, and each part appears at most once per service.
-        // Workers read st.view / rates / the part concurrently; the
-        // event loop mutates none of them until the job's epoch is
-        // awaited in pass 2.
-        solve_jobs.clear();
-        next_solve_job = 0;
-        for (int qi : st.item_queries[static_cast<size_t>(ev.item)]) {
-          core::QueryPlan& plan = st.plans[static_cast<size_t>(qi)];
-          for (size_t pi = 0; pi < plan.parts.size(); ++pi) {
-            core::PlanPart& part = plan.parts[pi];
-            const int idx = part.dabs.IndexOf(static_cast<VarId>(ev.item));
-            if (idx < 0) continue;
-            if (part.dabs.never_stale) continue;
-            if (!recompute_every_refresh) {
-              const double anchor = st.anchors[static_cast<size_t>(qi)][pi]
-                                              [static_cast<size_t>(idx)];
-              const double drift = std::fabs(ev.value - anchor);
-              const double limit =
-                  part.dabs.secondary[static_cast<size_t>(idx)] *
-                  (1.0 + config.violation_tol);
-              if (drift <= limit) continue;
-            }
-            const int w = st.query_shard[static_cast<size_t>(qi)] %
-                          pool.workers();
-            core::PlannerConfig wcfg = planner_cfg;
-            wcfg.trace_time = ev.time;
-            wcfg.trace_thread = w;
-            solve_jobs.emplace_back();
-            SolveJob& job = solve_jobs.back();
-            job.worker = w;
-            const bool abort_job =
-                ++solve_jobs_dispatched == config.rt_fail_at;
-            core::PlanPart* jp = &part;
-            job.epoch = pool.Dispatch(
-                w,
-                [&job, jp, &view = st.view, &rates, wcfg, abort_job]() {
-                  if (abort_job) {
-                    return Status::Internal(
-                        "rt: injected worker abort (rt_fail_at)");
-                  }
-                  job.result = core::ReplanPart(*jp, view, rates, wcfg);
-                  return Status::OK();
-                });
-          }
+        for (StalePart& sp : stale) {
+          sp.worker = st.query_shard[static_cast<size_t>(sp.qi)] %
+                      pool.workers();
+          const bool abort_job =
+              ++solve_jobs_dispatched == config.rt_fail_at;
+          const core::PlanPart* part =
+              &st.plans[static_cast<size_t>(sp.qi)].parts[sp.pi];
+          sp.epoch = pool.Dispatch(
+              sp.worker, [&sp, part, &view = st.view, &rates, &planner_cfg,
+                          abort_job]() {
+                if (abort_job) {
+                  return Status::Internal(
+                      "rt: injected worker abort (rt_fail_at)");
+                }
+                sp.result = core::ReplanPart(*part, view, rates, planner_cfg);
+                return Status::OK();
+              });
         }
       }
-      if (batched) {
-        // Pass 1 (batched serial engine): decide the stale-part set with
-        // exactly the reads the serial loop below makes — the set is
-        // stable across the two passes for the same reason as the
-        // threaded pass 1 above — and re-solve it through the engine in
-        // chunks of at most config.solve_batch programs. Results are
-        // bit-identical to per-part ReplanPart calls (core::ReplanParts),
-        // and solve inputs cannot change between the passes: installs
-        // only mutate a part's own dabs/anchors, and each part appears at
-        // most once per service.
-        batch_parts.clear();
-        batch_results.clear();
-        next_batch_result = 0;
-        for (int qi : st.item_queries[static_cast<size_t>(ev.item)]) {
-          core::QueryPlan& plan = st.plans[static_cast<size_t>(qi)];
-          for (size_t pi = 0; pi < plan.parts.size(); ++pi) {
-            core::PlanPart& part = plan.parts[pi];
-            const int idx = part.dabs.IndexOf(static_cast<VarId>(ev.item));
-            if (idx < 0) continue;
-            if (part.dabs.never_stale) continue;
-            if (!recompute_every_refresh) {
-              const double anchor = st.anchors[static_cast<size_t>(qi)][pi]
-                                              [static_cast<size_t>(idx)];
-              const double drift = std::fabs(ev.value - anchor);
-              const double limit =
-                  part.dabs.secondary[static_cast<size_t>(idx)] *
-                  (1.0 + config.violation_tol);
-              if (drift <= limit) continue;
-            }
-            batch_parts.push_back(&part);
-          }
-        }
-        for (size_t off = 0; off < batch_parts.size();
-             off += static_cast<size_t>(config.solve_batch)) {
-          const size_t len =
-              std::min(batch_parts.size() - off,
-                       static_cast<size_t>(config.solve_batch));
-          std::vector<const core::PlanPart*> chunk(
-              batch_parts.begin() + static_cast<long>(off),
-              batch_parts.begin() + static_cast<long>(off + len));
-          std::vector<Result<QueryDabs>> chunk_results = core::ReplanParts(
-              chunk, st.view, rates, planner_cfg, &solve_engine);
-          for (Result<QueryDabs>& r : chunk_results) {
-            batch_results.push_back(std::move(r));
-          }
-        }
-      }
+      // Install, walking the queries in the same order as the collect.
+      size_t next_stale = 0;
       for (int qi : st.item_queries[static_cast<size_t>(ev.item)]) {
         const size_t lane = static_cast<size_t>(st.query_shard[
             static_cast<size_t>(qi)]);
@@ -1775,39 +1706,29 @@ Result<SimMetrics> RunSimulation(
           }
           lane_busy[lane] += delays.Push();
         }
-        core::QueryPlan& plan = st.plans[static_cast<size_t>(qi)];
-        for (size_t pi = 0; pi < plan.parts.size(); ++pi) {
-          core::PlanPart& part = plan.parts[pi];
-          const int idx = part.dabs.IndexOf(static_cast<VarId>(ev.item));
-          if (idx < 0) continue;
-          // Value-independent assignments (LAQs) never go stale.
-          if (part.dabs.never_stale) continue;
+        for (; next_stale < stale.size() && stale[next_stale].qi == qi;
+             ++next_stale) {
+          StalePart& sp = stale[next_stale];
+          const size_t pi = sp.pi;
+          core::PlanPart& part = st.plans[static_cast<size_t>(qi)].parts[pi];
           // Under Dual-DAB the recomputation's cause is the secondary
           // violation; under single-DAB staleness it is the arrival
           // itself.
           uint64_t recompute_cause = arrival_id;
-          if (!recompute_every_refresh) {
-            const double anchor = st.anchors[static_cast<size_t>(qi)][pi]
-                                            [static_cast<size_t>(idx)];
-            const double drift = std::fabs(ev.value - anchor);
-            const double limit = part.dabs.secondary[static_cast<size_t>(idx)] *
-                                 (1.0 + config.violation_tol);
-            if (drift <= limit) continue;
-            if (trace != nullptr) {
-              obs::TraceEvent e;
-              e.time = ev.time;
-              e.kind = obs::TraceEventKind::kSecondaryViolation;
-              e.node = tnode;
-              e.item = ev.item;
-              e.query = queries[static_cast<size_t>(qi)].id;
-              e.part = static_cast<int32_t>(pi);
-              if (sharded) e.shard = static_cast<int32_t>(lane);
-              e.cause = arrival_id;
-              e.a = ev.value;
-              e.b = anchor;
-              e.c = part.dabs.secondary[static_cast<size_t>(idx)];
-              recompute_cause = trace->Emit(e);
-            }
+          if (!recompute_every_refresh && trace != nullptr) {
+            obs::TraceEvent e;
+            e.time = ev.time;
+            e.kind = obs::TraceEventKind::kSecondaryViolation;
+            e.node = tnode;
+            e.item = ev.item;
+            e.query = queries[static_cast<size_t>(qi)].id;
+            e.part = static_cast<int32_t>(pi);
+            if (sharded) e.shard = static_cast<int32_t>(lane);
+            e.cause = arrival_id;
+            e.a = ev.value;
+            e.b = sp.anchor;
+            e.c = part.dabs.secondary[sp.idx];
+            recompute_cause = trace->Emit(e);
           }
           // This part's assignment is stale (§I-B): recompute it.
           // Warm-starting from the previous assignment keeps each
@@ -1833,45 +1754,22 @@ Result<SimMetrics> RunSimulation(
             start_id = trace->Emit(e);
           }
           lane_busy[lane] += delays.RecomputeCpu();
-          Result<QueryDabs> fresh = Status::Internal("rt: unreached");
           if (threaded) {
-            // Pass 2 consumes the dispatched solves in the exact serial
-            // order pass 1 produced them; the epoch await is the only
-            // synchronization a result needs before its install.
-            if (next_solve_job >= solve_jobs.size()) {
-              return Status::Internal(
-                  "rt: serial replay found a stale part pass 1 did not "
-                  "dispatch");
-            }
-            SolveJob& job = solve_jobs[next_solve_job++];
-            POLYDAB_RETURN_NOT_OK(pool.AwaitEpoch(job.worker, job.epoch));
-            fresh = std::move(job.result);
-            // The worker emitted the planner_replan event; the serial
-            // oracle emits it here, between start and end — the
-            // canonical re-sort (obs/trace_canon.h) restores that slot.
-          } else if (batched) {
-            // The batched pass already solved this part; consume in the
-            // exact order pass 1 produced, and emit the planner_replan
-            // event at the serial oracle's slot — core::ReplanParts
-            // emits none, precisely so this site can place it between
-            // recompute_start and recompute_end.
-            if (next_batch_result >= batch_results.size()) {
-              return Status::Internal(
-                  "solve_batch: serial replay found a stale part pass 1 "
-                  "did not solve");
-            }
-            fresh = std::move(batch_results[next_batch_result++]);
-            if (trace != nullptr) {
-              obs::TraceEvent e;
-              e.time = trace->now();
-              e.kind = obs::TraceEventKind::kPlannerReplan;
-              e.node = tnode;
-              e.query = part.subquery.id;
-              e.flag = fresh.ok() ? 1 : 0;
-              trace->Emit(e);
-            }
+            POLYDAB_RETURN_NOT_OK(pool.AwaitEpoch(sp.worker, sp.epoch));
           } else {
-            fresh = core::ReplanPart(part, st.view, rates, planner_cfg);
+            sp.result = core::ReplanPart(part, st.view, rates, planner_cfg);
+          }
+          Result<QueryDabs> fresh = std::move(sp.result);
+          if (trace != nullptr) {
+            // Emitted here, not by the solver, so the trace is the same
+            // whichever thread ran the solve.
+            obs::TraceEvent e;
+            e.time = ev.time;
+            e.kind = obs::TraceEventKind::kPlannerReplan;
+            e.node = tnode;
+            e.query = part.subquery.id;
+            e.flag = fresh.ok() ? 1 : 0;
+            trace->Emit(e);
           }
           uint64_t end_id = 0;
           if (trace != nullptr) {
@@ -1904,15 +1802,9 @@ Result<SimMetrics> RunSimulation(
                            /*emit_item_barriers=*/true);
         }
       }
-      if (threaded && next_solve_job != solve_jobs.size()) {
+      if (next_stale != stale.size()) {
         return Status::Internal(
-            "rt: pass 1 dispatched solves the serial replay never "
-            "consumed");
-      }
-      if (batched && next_batch_result != batch_results.size()) {
-        return Status::Internal(
-            "solve_batch: pass 1 solved parts the serial replay never "
-            "consumed");
+            "refresh service: the install walk missed a collected part");
       }
       // End of service: the home lane ran from the arrival; a lane that
       // got work dispatched from here starts once it drains its own

@@ -180,22 +180,19 @@ struct SimConfig {
   int coord_shards = 1;
   ShardPolicy shard_policy = ShardPolicy::kEqiComponents;
   /// Real-thread lane runtime (src/rt/, docs/CONCURRENCY.md). 0 (the
-  /// default) is the single-threaded virtual-clock event loop,
-  /// byte-identical to every earlier build. With N >= 1 the run starts an
-  /// rt::LanePool of N `std::jthread` workers and executes the
-  /// deterministic per-part GP re-solves — the dominant cost of every
-  /// refresh service — on them: each service dispatches its stale parts
-  /// to the workers' lock-free SPSC rings (a part's worker is its lane
-  /// modulo N), then replays the service in exact oracle order, awaiting
-  /// each solve's epoch just before its install. Virtual time, RNG draws
-  /// and all protocol decisions stay on the event-loop thread, so
-  /// metrics, registry and the canonicalized trace
-  /// (obs/trace_canon.h) are byte-identical to the threads = 0 oracle
-  /// under the same seed — enforced by tests/threaded_diff_test.cc.
-  /// Incompatible with `series` (the recorder folds the raw emission
-  /// order). Excluded from Describe() so threaded and oracle run reports
-  /// stay comparable; the trace instead carries `rt_threads` /
-  /// `rt_queue_cap` info keys, stripped by canonicalization.
+  /// default) solves every stale part inline on the event-loop thread.
+  /// With N >= 1 the run starts an rt::LanePool of N `std::jthread`
+  /// workers and executes the deterministic per-part GP re-solves — the
+  /// dominant cost of every refresh service — on them: each service
+  /// collects its stale parts, dispatches them to the workers' lock-free
+  /// SPSC rings (a part's worker is its lane modulo N), then installs
+  /// them in exact oracle order, awaiting each solve's epoch just before
+  /// its install. Workers only solve; virtual time, RNG draws, every
+  /// protocol decision and every trace emission stay on the event-loop
+  /// thread, so metrics, registry, series and the trace as emitted are
+  /// byte-identical to the threads = 0 oracle under the same seed —
+  /// enforced by tests/threaded_diff_test.cc. Excluded from Describe()
+  /// so threaded and oracle run reports stay comparable.
   int threads = 0;
   /// Per-worker SPSC job-ring capacity (rounded up to a power of two);
   /// dispatch yield-spins while a ring is full. Only read when
@@ -208,18 +205,6 @@ struct SimConfig {
   /// metrics machinery. 0 (the default) = never. Only read when
   /// threads > 0.
   int64_t rt_fail_at = 0;
-  /// Batched GP solving for the serial engine (gp/solve_engine.h,
-  /// docs/SOLVER.md): when > 0, each refresh service decides its stale-
-  /// part set in a read-only first pass and re-solves it through
-  /// `gp::SolveEngine::SolveBatch` in chunks of at most this many
-  /// programs, sharing per-shape skeletons, workspaces and cached term
-  /// logarithms across the chunk. Metrics, registry totals and the trace
-  /// are byte-identical to the unbatched oracle
-  /// (tests/solve_engine_diff_test.cc). Requires threads == 0 — the
-  /// real-thread runtime has its own two-pass dispatch. Excluded from
-  /// Describe() like `threads`, so batched and oracle run reports stay
-  /// comparable.
-  int solve_batch = 0;
   /// Capacity, in entries, of the solve engine's exact-match LRU memo;
   /// 0 (the default) disables it. A hit replays a memoized solution and
   /// its gp.solver.* instrument stats, bit-identical to re-running the
@@ -288,9 +273,9 @@ struct SimConfig {
   /// coordinator crash, and a restart path that resumes a crashed run
   /// bit-identically. Null (the default) leaves the run byte-identical
   /// (trace, metrics, registry) to a build without the recovery layer.
-  /// Incompatible with `series`, solve_batch/solve_cache > 0,
-  /// aao_period_s > 0 and rt_fail_at > 0. Not owned; must outlive the
-  /// run; `crashed`/`crash_event_id` are written back as outputs.
+  /// Incompatible with `series`, solve_cache > 0, aao_period_s > 0 and
+  /// rt_fail_at > 0. Not owned; must outlive the run;
+  /// `crashed`/`crash_event_id` are written back as outputs.
   recovery::RecoveryConfig* recovery = nullptr;
 
   /// One-line rendering of the full configuration, for run reports and

@@ -134,6 +134,20 @@ TEST_F(NetTest, RelayDualBeatsOptimalRefreshOnRecomputations) {
   EXPECT_LT(md->recomputations, mo->recomputations);
 }
 
+/// The replan record is emitted by the caller of core::ReplanPart (the
+/// relay loop, the simulator's install walk), exactly once per refresh
+/// recomputation; these runs have no AAO solves.
+void ExpectOneReplanPerRecompute(const obs::TraceFile& trace) {
+  int64_t replans = 0;
+  int64_t starts = 0;
+  for (const obs::TraceEvent& e : trace.events) {
+    if (e.kind == obs::TraceEventKind::kPlannerReplan) ++replans;
+    if (e.kind == obs::TraceEventKind::kRecomputeStart) ++starts;
+  }
+  EXPECT_GT(starts, 0);
+  EXPECT_EQ(replans, starts);
+}
+
 TEST_F(NetTest, RelayTraceReplayVerifies) {
   // The overlay's causal trace must satisfy the offline verifier's
   // invariants, and the replayed totals must match RelayMetrics exactly.
@@ -147,6 +161,7 @@ TEST_F(NetTest, RelayTraceReplayVerifies) {
   ASSERT_TRUE(m.ok()) << m.status().ToString();
   const obs::TraceFile trace = sink.Collect();
   ASSERT_EQ(trace.summaries.size(), 1u);
+  ExpectOneReplanPerRecompute(trace);
   auto report = obs::CheckTrace(trace);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->ok()) << report->ToText(trace);
@@ -172,6 +187,7 @@ TEST_F(NetTest, DisseminationTraceHasOneSummaryPerCoordinator) {
   ASSERT_TRUE(m.ok()) << m.status().ToString();
   const obs::TraceFile trace = sink.Collect();
   ASSERT_EQ(trace.summaries.size(), 3u);
+  ExpectOneReplanPerRecompute(trace);
   auto report = obs::CheckTrace(trace);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->ok()) << report->ToText(trace);
@@ -201,6 +217,7 @@ TEST_F(NetTest, ShardedDisseminationTraceReplayVerifies) {
   auto m = RunDissemination(queries_, traces_, rates_, dc);
   ASSERT_TRUE(m.ok()) << m.status().ToString();
   const obs::TraceFile trace = sink.Collect();
+  ExpectOneReplanPerRecompute(trace);
   auto report = obs::CheckTrace(trace);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->ok()) << report->ToText(trace);

@@ -7,9 +7,8 @@
 //
 //  1. Byte identity: merged-and-stripped trace JSONL == the uninterrupted
 //     oracle's (after the identical StripRecoveryEvents pass, which also
-//     renumbers, and — for threaded runs — after canonicalizing the
-//     merged whole; canonicalizing before the merge would destroy the id
-//     alignment the splice depends on).
+//     renumbers). Threaded runs need no extra pass: their traces are
+//     byte-identical to serial ones as emitted.
 //  2. Metrics identity: the restarted run's SimMetrics equal the
 //     oracle's field for field, bitwise on the floating-point fields.
 //  3. Replay validity: the *unstripped* merged trace — recovery events
@@ -170,9 +169,6 @@ class RecoveryDiffTest : public ::testing::Test {
     obs::TraceFile oracle;
     SimMetrics oracle_metrics;
     ASSERT_TRUE(RunOnce(base, churn, 0, &oracle, &oracle_metrics));
-    if (base.threads > 0) {
-      ASSERT_TRUE(obs::CanonicalizeThreadedTrace(&oracle).ok());
-    }
 
     // Crashed invocation: checkpoints at the cadence, WAL of every
     // consumed row, injector fires at the top of kCrashTick.
@@ -236,14 +232,10 @@ class RecoveryDiffTest : public ::testing::Test {
     EXPECT_EQ(restart_metrics.degraded_query_seconds,
               oracle_metrics.degraded_query_seconds);
 
-    // Merge, canonicalize the whole (threaded runs only), then: oracle 3
-    // — the unstripped merged trace replays green, recovery events and
-    // all.
+    // Merge, then: oracle 3 — the unstripped merged trace replays green,
+    // recovery events and all.
     obs::TraceFile merged =
         Merge(std::move(crashed), std::move(restarted), ckpt.trace_next_id);
-    if (base.threads > 0) {
-      ASSERT_TRUE(obs::CanonicalizeThreadedTrace(&merged).ok());
-    }
     Result<obs::TraceCheckReport> checked =
         obs::CheckTrace(merged, obs::TraceCheckOptions{});
     ASSERT_TRUE(checked.ok()) << checked.status().ToString();

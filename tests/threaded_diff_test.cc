@@ -1,22 +1,23 @@
 // Differential test harness for the real-thread lane runtime
 // (src/rt/, SimConfig::threads, docs/CONCURRENCY.md). Oracles:
 //
-//  1. Canonical equivalence: a threads=N run's trace, passed through
-//     CanonicalizeThreadedTrace (obs/trace_canon.h), must be
-//     byte-identical JSONL to the threads=0 virtual-clock engine under
-//     the same seed — across planner methods x shard counts x worker
-//     counts, including a capacity-1 SPSC ring that forces dispatch
-//     backpressure. SimMetrics must match field-for-field (bitwise on
-//     the fidelity loss).
-//  2. Per-lane stream equality: grouping the canonicalized events by
+//  1. Raw equivalence: a threads=N run's trace, exactly as emitted, must
+//     be byte-identical JSONL to the threads=0 engine under the same
+//     seed — across planner methods x shard counts x worker counts,
+//     including a capacity-1 SPSC ring that forces dispatch
+//     backpressure, fault injection and query churn. SimMetrics must
+//     match field-for-field (bitwise on the fidelity loss).
+//  2. Per-lane stream equality: grouping the threaded events by
 //     coordinator lane reproduces the oracle's per-lane streams exactly
 //     (implied by byte identity, asserted separately so a reordering
 //     regression names the lane it broke).
-//  3. Trace replay: canonicalized threaded chaos and churn runs must
-//     keep obs::CheckTrace green with zero invariant failures.
-//  4. threads=0 purity: the default config must keep reproducing the
-//     pre-threading serial goldens bit-for-bit, and its serialized
-//     trace must not mention the thread vocabulary at all.
+//  3. Trace replay: threaded chaos and churn runs must keep
+//     obs::CheckTrace green with zero invariant failures.
+//  4. Series: a threaded run's windowed series and alerts are
+//     byte-identical to the threads=0 run's.
+//  5. Thread-free vocabulary: neither serial nor threaded traces carry
+//     a `thread` key or `rt_*` info, and the default config keeps
+//     reproducing the pre-threading serial goldens bit-for-bit.
 //
 // The failure path (rt_fail_at worker abort) and config validation ride
 // along. The whole binary is labelled `threads`, so the threads-tsan /
@@ -31,7 +32,6 @@
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
-#include "obs/trace_canon.h"
 #include "obs/trace_check.h"
 #include "sim/simulation.h"
 #include "svc/query_service.h"
@@ -77,8 +77,8 @@ class ThreadedDiffTest : public ::testing::Test {
     return c;
   }
 
-  /// Run, collect the trace, canonicalize when threaded. Returns the
-  /// rendered JSONL; metrics through *out.
+  /// Run and collect the trace as emitted. Returns the rendered JSONL;
+  /// metrics through *out.
   std::string RunRendered(SimConfig config, SimMetrics* out) {
     obs::TraceSink sink;
     config.trace = &sink;
@@ -86,13 +86,7 @@ class ThreadedDiffTest : public ::testing::Test {
     EXPECT_TRUE(m.ok()) << m.status().ToString();
     if (!m.ok()) return "";
     *out = *m;
-    obs::TraceFile trace = sink.Collect();
-    if (config.threads > 0) {
-      Status canon = obs::CanonicalizeThreadedTrace(&trace);
-      EXPECT_TRUE(canon.ok()) << canon.ToString();
-      if (!canon.ok()) return "";
-    }
-    return obs::TraceToJsonLines(trace);
+    return obs::TraceToJsonLines(sink.Collect());
   }
 
   workload::TraceSet traces_;
@@ -113,7 +107,7 @@ void ExpectMetricsEqual(const SimMetrics& got, const SimMetrics& want,
       << label;
 }
 
-TEST_F(ThreadedDiffTest, CanonicalThreadedTraceMatchesVirtualClockOracle) {
+TEST_F(ThreadedDiffTest, RawThreadedTraceMatchesVirtualClockOracle) {
   for (core::AssignmentMethod method :
        {core::AssignmentMethod::kDualDab,
         core::AssignmentMethod::kOptimalRefresh}) {
@@ -197,8 +191,8 @@ TEST_F(ThreadedDiffTest, PerLaneEventStreamsMatchOracle) {
 TEST_F(ThreadedDiffTest, ThreadedChaosRunMatchesOracleAndVerifies) {
   // Fault injection on top of the worker pool: drops, dups, crashes and
   // lease expiries reshuffle which parts go stale when, but every solve
-  // still lands in pass 1 of its service, so canonical equivalence must
-  // survive — and the canonicalized trace must replay clean.
+  // is still collected and installed by its own service, so raw
+  // equivalence must survive — and the threaded trace must replay clean.
   FaultConfig f;
   f.drop_prob = 0.08;
   f.dup_prob = 0.05;
@@ -223,8 +217,7 @@ TEST_F(ThreadedDiffTest, ThreadedChaosRunMatchesOracleAndVerifies) {
   obs::TraceSink sink;
   threaded.trace = &sink;
   ASSERT_TRUE(RunSimulation(queries_, traces_, rates_, threaded).ok());
-  obs::TraceFile trace = sink.Collect();
-  ASSERT_TRUE(obs::CanonicalizeThreadedTrace(&trace).ok());
+  const obs::TraceFile trace = sink.Collect();
   auto check = obs::CheckTrace(trace);
   ASSERT_TRUE(check.ok()) << check.status().ToString();
   EXPECT_TRUE(check->ok()) << check->ToText(trace);
@@ -232,8 +225,8 @@ TEST_F(ThreadedDiffTest, ThreadedChaosRunMatchesOracleAndVerifies) {
 
 TEST_F(ThreadedDiffTest, ThreadedChurnRunMatchesOracleAndVerifies) {
   // Runtime register / modify / deregister churn on the worker pool:
-  // the live query set changes between services, so pass 1's replicated
-  // stale-set walk has to track plan maintenance exactly.
+  // the live query set changes between services, so each service's
+  // collect walk has to track plan maintenance exactly.
   workload::ChurnConfig cc;
   cc.arrival_rate = 0.1;
   cc.mean_lifetime_s = 150.0;
@@ -258,11 +251,6 @@ TEST_F(ThreadedDiffTest, ThreadedChurnRunMatchesOracleAndVerifies) {
     if (!m.ok()) return "";
     *out = *m;
     obs::TraceFile trace = sink.Collect();
-    if (threads > 0) {
-      Status canon = obs::CanonicalizeThreadedTrace(&trace);
-      EXPECT_TRUE(canon.ok()) << canon.ToString();
-      if (!canon.ok()) return "";
-    }
     if (trace_out != nullptr) *trace_out = trace;
     return obs::TraceToJsonLines(trace);
   };
@@ -311,34 +299,74 @@ TEST_F(ThreadedDiffTest, DefaultConfigKeepsSerialGoldens) {
   }
 }
 
-TEST_F(ThreadedDiffTest, SerialTracesCarryNoThreadVocabulary) {
-  // threads=0 must emit byte-wise the same records as before the thread
-  // field existed: no thread stamps, no rt_* info keys.
-  obs::TraceSink sink;
-  SimConfig c = Config(core::AssignmentMethod::kDualDab, 2, 0);
-  c.trace = &sink;
-  ASSERT_TRUE(RunSimulation(queries_, traces_, rates_, c).ok());
-  const obs::TraceFile trace = sink.Collect();
-  EXPECT_EQ(trace.info.count("rt_threads"), 0u);
-  EXPECT_EQ(trace.info.count("rt_queue_cap"), 0u);
-  for (const obs::TraceEvent& e : trace.events) {
-    EXPECT_EQ(e.thread, -1);
-  }
-  const std::string rendered = obs::TraceToJsonLines(trace);
+/// A rendered trace names no worker: no `thread` key on any record and
+/// no `rt_*` info key.
+void ExpectNoThreadVocabulary(const std::string& rendered) {
   EXPECT_EQ(rendered.find("\"thread\""), std::string::npos);
-  EXPECT_EQ(rendered.find("rt_"), std::string::npos);
+  EXPECT_EQ(rendered.find("\"rt_"), std::string::npos);
 }
 
-TEST_F(ThreadedDiffTest, CanonicalizationIsIdempotent) {
-  obs::TraceSink sink;
-  SimConfig c = Config(core::AssignmentMethod::kDualDab, 2, 3);
-  c.trace = &sink;
-  ASSERT_TRUE(RunSimulation(queries_, traces_, rates_, c).ok());
-  obs::TraceFile trace = sink.Collect();
-  ASSERT_TRUE(obs::CanonicalizeThreadedTrace(&trace).ok());
-  const std::string once = obs::TraceToJsonLines(trace);
-  ASSERT_TRUE(obs::CanonicalizeThreadedTrace(&trace).ok());
-  EXPECT_EQ(obs::TraceToJsonLines(trace), once);
+TEST_F(ThreadedDiffTest, SerialTracesCarryNoThreadVocabulary) {
+  SimMetrics ignored;
+  const std::string rendered =
+      RunRendered(Config(core::AssignmentMethod::kDualDab, 2, 0), &ignored);
+  ASSERT_FALSE(rendered.empty());
+  ExpectNoThreadVocabulary(rendered);
+}
+
+TEST_F(ThreadedDiffTest, ThreadedTracesCarryNoThreadVocabulary) {
+  // Workers only solve; the event loop emits every record, so nothing in
+  // a threaded trace can say which worker ran what.
+  for (core::AssignmentMethod method :
+       {core::AssignmentMethod::kDualDab,
+        core::AssignmentMethod::kOptimalRefresh}) {
+    SCOPED_TRACE(core::Name(method));
+    SimMetrics ignored;
+    const std::string rendered = RunRendered(Config(method, 2, 3), &ignored);
+    ASSERT_FALSE(rendered.empty());
+    ExpectNoThreadVocabulary(rendered);
+  }
+}
+
+TEST_F(ThreadedDiffTest, ThreadedSeriesMatchesOracle) {
+  // The series recorder folds the raw emission order, which a threaded
+  // run shares with the oracle: the series JSONL (breakdown rows and
+  // registry samples included) and every alert must be byte-identical.
+  std::vector<obs::SloRule> rules;
+  {
+    auto parsed = obs::ParseSloRules(
+        "sim.coordinator.recomputations > 2 for 2",
+        obs::SeriesMetricNames());
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    rules = *parsed;
+  }
+  auto run = [&](int threads, std::string* trace_text) -> std::string {
+    obs::MetricRegistry registry;
+    obs::SeriesConfig sc;
+    sc.window_ticks = 25;
+    sc.breakdown = true;
+    sc.rules = rules;
+    sc.registry = &registry;
+    obs::SeriesRecorder recorder(sc);
+    obs::TraceSink sink;
+    SimConfig c = Config(core::AssignmentMethod::kOptimalRefresh, 1, threads);
+    c.registry = &registry;
+    c.trace = &sink;
+    c.series = &recorder;
+    auto m = RunSimulation(queries_, traces_, rates_, c);
+    EXPECT_TRUE(m.ok()) << m.status().ToString();
+    if (!m.ok()) return "";
+    *trace_text = obs::TraceToJsonLines(sink.Collect());
+    return obs::SeriesToJsonLines(recorder.file());
+  };
+  std::string oracle_trace, got_trace;
+  const std::string oracle = run(0, &oracle_trace);
+  const std::string got = run(3, &got_trace);
+  ASSERT_FALSE(oracle.empty());
+  EXPECT_EQ(got, oracle);
+  EXPECT_EQ(got_trace, oracle_trace);
+  // The rule must actually fire, or the alert comparison proves nothing.
+  EXPECT_NE(oracle_trace.find("\"alert_fire\""), std::string::npos);
 }
 
 TEST_F(ThreadedDiffTest, WorkerAbortFailsTheRunWithTheInjectedError) {
@@ -359,17 +387,6 @@ TEST_F(ThreadedDiffTest, InvalidThreadConfigsAreRejected) {
     SimConfig c = Config(core::AssignmentMethod::kDualDab, 1, 2);
     c.rt_queue_cap = 0;
     EXPECT_FALSE(RunSimulation(queries_, traces_, rates_, c).ok());
-  }
-  {
-    // The series recorder folds the raw emission order, which a
-    // threaded run does not preserve: reject the combination.
-    obs::SeriesConfig sc;
-    obs::SeriesRecorder recorder(sc);
-    SimConfig c = Config(core::AssignmentMethod::kDualDab, 1, 2);
-    c.series = &recorder;
-    auto m = RunSimulation(queries_, traces_, rates_, c);
-    ASSERT_FALSE(m.ok());
-    EXPECT_NE(m.status().ToString().find("series"), std::string::npos);
   }
 }
 

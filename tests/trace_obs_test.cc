@@ -111,6 +111,63 @@ TEST(TraceJsonTest, ParseRejectsCorruptInput) {
       ParseTraceJsonLines(text.substr(0, text.size() - 10)).ok());
 }
 
+/// The sample file's JSONL with \p field spliced into the first line of
+/// record type \p type, just before its closing brace; *line_no gets that
+/// line's 1-based number.
+std::string WithExtraField(const std::string& type, const std::string& field,
+                           int* line_no) {
+  const std::string text = TraceToJsonLines(MakeSampleFile());
+  const size_t at = text.find("{\"type\":\"" + type + "\"");
+  EXPECT_NE(at, std::string::npos) << type;
+  *line_no = 1 + static_cast<int>(std::count(
+                     text.begin(), text.begin() + static_cast<long>(at),
+                     '\n'));
+  const size_t close = text.find("}\n", at);
+  return text.substr(0, close) + "," + field + text.substr(close);
+}
+
+TEST(TraceJsonTest, ParseRejectsUnknownKeysWithLineNumber) {
+  // A misspelt key must not parse as its default (cause=0 here): every
+  // record type fails closed, naming the line and the key.
+  struct Case {
+    const char* type;
+    const char* field;
+    const char* key;
+  };
+  const Case cases[] = {
+      {"event", "\"cuase\":5", "cuase"},
+      {"event", "\"cause\":\"5\"", "cause"},  // right key, wrong type
+      {"info", "\"note\":\"x\"", "note"},
+      {"query_info", "\"qabb\":0.5", "qabb"},
+      {"run_summary", "\"refreshs\":3", "refreshs"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.type) + " + " + c.field);
+    int line_no = 0;
+    auto parsed = ParseTraceJsonLines(WithExtraField(c.type, c.field,
+                                                     &line_no));
+    ASSERT_FALSE(parsed.ok());
+    const std::string msg = parsed.status().message();
+    EXPECT_NE(msg.find("line " + std::to_string(line_no) + ":"),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("'" + std::string(c.key) + "'"), std::string::npos)
+        << msg;
+  }
+}
+
+TEST(TraceJsonTest, ParseRejectsRetiredThreadKey) {
+  // Worker tags are no longer part of the format: a trace carrying one
+  // came from an old threaded capture and is refused, not silently
+  // re-read as a serial trace.
+  int line_no = 0;
+  auto parsed =
+      ParseTraceJsonLines(WithExtraField("event", "\"thread\":1", &line_no));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.status().message().find("'thread'"), std::string::npos)
+      << parsed.status().ToString();
+}
+
 TEST(TraceJsonTest, ParseNamesLineOfTruncationAndErrors) {
   const std::string text = TraceToJsonLines(MakeSampleFile());
   const auto lines = std::count(text.begin(), text.end(), '\n');

@@ -56,10 +56,7 @@ set(bad_cases
   "zero rt-queue-cap\;threads=2\;rt-queue-cap=0"
   "rt-fail-at without threads\;rt-fail-at=3"
   "negative rt-fail-at\;threads=2\;rt-fail-at=-1"
-  "series with threaded runtime\;series-out=s.jsonl\;threads=2"
-  "negative solve-batch\;solve-batch=-1"
-  "non-numeric solve-batch\;solve-batch=many"
-  "solve-batch with threaded runtime\;solve-batch=8\;threads=2"
+  "retired solve-batch key\;solve-batch=8"
   "negative solve-cache\;solve-cache=-1"
   "non-numeric solve-cache\;solve-cache=big"
   "ckpt-interval-s without ckpt-out\;ckpt-interval-s=30"
@@ -74,7 +71,7 @@ set(bad_cases
   "merge-trace without trace-out\;restart-from=c.ckpt\;wal-out=w.wal\;merge-trace=t.jsonl"
   "recovery with series telemetry\;ckpt-out=c.ckpt\;series-out=s.jsonl"
   "recovery with joint AAO\;ckpt-out=c.ckpt\;aao-period=60"
-  "recovery with the solve engine\;ckpt-out=c.ckpt\;solve-batch=8"
+  "recovery with the solve engine\;ckpt-out=c.ckpt\;solve-cache=64"
   "recovery with rt fault injection\;ckpt-out=c.ckpt\;threads=2\;rt-fail-at=3"
   "flame-out on a crashed run\;ckpt-out=c.ckpt\;wal-out=w.wal\;coord-crash-at=40\;flame-out=f.folded"
 )
@@ -121,10 +118,10 @@ if(NOT status EQUAL 0)
 endif()
 message(STATUS "threaded invocation accepted (exit 0)")
 
-# A batched+memoized solve-engine invocation (docs/SOLVER.md), and the
-# cache riding on the threaded runtime (the one engine knob valid there).
+# A memoized solve-engine invocation (docs/SOLVER.md), and the cache
+# riding on the threaded runtime.
 execute_process(COMMAND ${EXPERIMENT} queries=2 items=4 ticks=80
-                solve-batch=8 solve-cache=64
+                solve-cache=64
                 RESULT_VARIABLE status
                 OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT status EQUAL 0)

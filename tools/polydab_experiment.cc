@@ -31,22 +31,14 @@
 //   threads=N        real-thread lane runtime (src/rt/,
 //                    docs/CONCURRENCY.md): N >= 1 executes the per-part
 //                    GP re-solves on an N-worker std::jthread pool, with
-//                    metrics and the canonicalized trace byte-identical
-//                    to the threads=0 virtual-clock engine under the
-//                    same seed. 0 = the single-threaded engine,
-//                    byte-identical to earlier builds. Incompatible with
-//                    series-out (0)
+//                    metrics, series and the trace as written
+//                    byte-identical to the threads=0 run under the same
+//                    seed. 0 = solve inline on the event-loop thread (0)
 //   rt-queue-cap=N   per-worker SPSC job-ring capacity, >= 1; requires
 //                    threads > 0 (256)
 //   rt-fail-at=K     test hook: abort the K-th dispatched solve job
 //                    inside its worker (1-based), exercising the pool's
 //                    failure path; requires threads > 0; 0 = never (0)
-//   solve-batch=N    batched GP solving (gp/solve_engine.h,
-//                    docs/SOLVER.md): each refresh service re-solves its
-//                    stale parts through one engine batch of at most N
-//                    programs, sharing per-shape workspaces; metrics and
-//                    traces stay byte-identical to the unbatched run.
-//                    Requires threads=0. 0 = off (0)
 //   solve-cache=N    solve engine exact-match LRU memo capacity in
 //                    entries; hits replay the memoized solution and its
 //                    solver telemetry bit-identically. Works with any
@@ -164,7 +156,6 @@
 #include "obs/slo.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
-#include "obs/trace_canon.h"
 #include "obs/trace_fold.h"
 #include "recovery/checkpoint.h"
 #include "recovery/recovery.h"
@@ -198,7 +189,7 @@ const std::set<std::string>& KnownKeys() {
       "items",        "ticks",        "traces",     "delay_ms",
       "recompute_ms", "aao_period",   "coord_shards",
       "shard_policy", "threads",      "rt_queue_cap",
-      "rt_fail_at",   "solve_batch",  "solve_cache",
+      "rt_fail_at",   "solve_cache",
       "seed",         "csv",        "metrics_out",
       "trace_out",    "flame_out",    "flame_group_by",
       "fault_drop",   "fault_crash",  "lease_s",    "retx_timeout_s",
@@ -331,13 +322,6 @@ int main(int argc, char** argv) {
   if (rt_fail_at < 0) {
     Die("rt-fail-at must be >= 0, got " + std::to_string(rt_fail_at));
   }
-  const int solve_batch = GetInt(args, "solve_batch", 0);
-  if (solve_batch < 0) {
-    Die("solve-batch must be >= 0, got " + std::to_string(solve_batch));
-  }
-  if (solve_batch > 0 && threads > 0) {
-    Die("solve-batch requires the single-threaded engine (threads=0)");
-  }
   const int solve_cache = GetInt(args, "solve_cache", 0);
   if (solve_cache < 0) {
     Die("solve-cache must be >= 0, got " + std::to_string(solve_cache));
@@ -453,9 +437,6 @@ int main(int argc, char** argv) {
   if (!series_out.empty() && coord_shards != 1) {
     Die("series-out is single-coordinator only (coord-shards=1)");
   }
-  if (!series_out.empty() && threads > 0) {
-    Die("series-out requires the single-threaded engine (threads=0)");
-  }
   std::vector<obs::SloRule> slo_rules;
   const std::string slo_text = Get(args, "slo", "");
   if (!slo_text.empty()) {
@@ -516,9 +497,9 @@ int main(int argc, char** argv) {
     if (aao_period > 0.0) {
       Die("recovery knobs cannot be combined with aao-period");
     }
-    if (solve_batch > 0 || solve_cache > 0) {
+    if (solve_cache > 0) {
       Die("recovery knobs cannot be combined with the solve engine "
-          "(solve-batch/solve-cache)");
+          "(solve-cache)");
     }
     if (rt_fail_at > 0) {
       Die("recovery knobs cannot be combined with rt-fail-at");
@@ -645,7 +626,6 @@ int main(int argc, char** argv) {
   config.threads = threads;
   config.rt_queue_cap = rt_queue_cap;
   config.rt_fail_at = rt_fail_at;
-  config.solve_batch = solve_batch;
   config.solve_cache = solve_cache;
 
   // Telemetry: attach a registry when a report was requested, so the run
@@ -756,12 +736,9 @@ int main(int argc, char** argv) {
   const std::string trace_out = Get(args, "trace_out", "");
   const std::string flame_out = Get(args, "flame_out", "");
   obs::TraceSink sink;
-  // A threaded run's raw emission order interleaves worker-tagged events,
-  // so its trace is captured in memory and canonicalized
-  // (obs/trace_canon.h) before anything reaches disk; streaming is the
-  // threads=0 path only. A restarted run also captures in memory — its
-  // events must be merged with the crashed invocation's before saving.
-  if (!trace_out.empty() && threads == 0 && restart_from.empty()) {
+  // A restarted run captures in memory — its events must be merged with
+  // the crashed invocation's before saving; every other run streams.
+  if (!trace_out.empty() && restart_from.empty()) {
     Status streaming = sink.StreamTo(trace_out);
     if (!streaming.ok()) {
       std::fprintf(stderr, "trace-out: %s\n", streaming.ToString().c_str());
@@ -832,10 +809,7 @@ int main(int argc, char** argv) {
       // merge-trace= the crashed invocation's events with ids below the
       // restart's resume id (the checkpoint's trace_next_id) are spliced
       // in front — everything at or past it was re-emitted by the WAL
-      // replay — producing one complete id space. Threaded runs are
-      // canonicalized as a whole only after the merge, because the
-      // canonical renumbering would otherwise destroy the id alignment
-      // the splice depends on.
+      // replay — producing one complete id space.
       obs::TraceFile trace = sink.Collect();
       if (!merge_trace.empty()) {
         Result<obs::TraceFile> crashed_trace =
@@ -873,30 +847,6 @@ int main(int argc, char** argv) {
         merged.summaries = std::move(trace.summaries);
         trace = std::move(merged);
       }
-      if (threads > 0) {
-        Status canon = obs::CanonicalizeThreadedTrace(&trace);
-        if (!canon.ok()) {
-          std::fprintf(stderr, "trace-out: %s\n", canon.ToString().c_str());
-          return 1;
-        }
-      }
-      Status saved = obs::SaveTraceFile(trace, trace_out);
-      if (!saved.ok()) {
-        std::fprintf(stderr, "trace-out: %s\n", saved.ToString().c_str());
-        return 1;
-      }
-    } else if (threads > 0) {
-      obs::TraceFile trace = sink.Collect();
-      // A crashed capture is saved with its raw worker-tagged id space:
-      // the restart invocation merges it before canonicalizing, and a
-      // canonical renumbering here would break that alignment.
-      if (!rc.crashed) {
-        Status canon = obs::CanonicalizeThreadedTrace(&trace);
-        if (!canon.ok()) {
-          std::fprintf(stderr, "trace-out: %s\n", canon.ToString().c_str());
-          return 1;
-        }
-      }
       Status saved = obs::SaveTraceFile(trace, trace_out);
       if (!saved.ok()) {
         std::fprintf(stderr, "trace-out: %s\n", saved.ToString().c_str());
@@ -915,8 +865,6 @@ int main(int argc, char** argv) {
   if (!flame_out.empty()) {
     obs::TraceFile trace;
     if (!trace_out.empty()) {
-      // With threads > 0 this re-reads the canonical file written above,
-      // so the folding never sees worker tags.
       Result<obs::TraceFile> loaded = obs::LoadTraceFile(trace_out);
       if (!loaded.ok()) {
         std::fprintf(stderr, "flame-out: %s\n",
@@ -926,13 +874,6 @@ int main(int argc, char** argv) {
       trace = std::move(loaded).value();
     } else {
       trace = sink.Collect();
-      if (threads > 0) {
-        Status canon = obs::CanonicalizeThreadedTrace(&trace);
-        if (!canon.ok()) {
-          std::fprintf(stderr, "flame-out: %s\n", canon.ToString().c_str());
-          return 1;
-        }
-      }
     }
     obs::TraceFoldOptions fold_options;
     fold_options.group_by = flame_group_by;
