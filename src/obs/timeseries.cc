@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/file_util.h"
 #include "common/logging.h"
 #include "obs/json_util.h"
 #include "obs/trace_check.h"
@@ -437,17 +438,12 @@ Status SaveSeriesFile(const SeriesFile& series, const std::string& path) {
 }
 
 Result<SeriesFile> LoadSeriesFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  std::string text;
+  Status read = ReadFileToString(path, &text);
+  if (read.code() == StatusCode::kInvalidArgument) {
     return Status::InvalidArgument("cannot open series file: " + path);
   }
-  std::string text;
-  char buf[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, n);
-  }
-  std::fclose(f);
+  POLYDAB_RETURN_NOT_OK(read);
   return ParseSeriesJsonLines(text);
 }
 

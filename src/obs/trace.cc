@@ -5,6 +5,7 @@
 #include <cinttypes>
 #include <cstring>
 
+#include "common/file_util.h"
 #include "common/logging.h"
 #include "obs/json_util.h"
 
@@ -407,19 +408,8 @@ Status SaveTraceFile(const TraceFile& trace, const std::string& path) {
 }
 
 Result<TraceFile> LoadTraceFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return Status::InvalidArgument("cannot open '" + path + "'");
-  }
   std::string text;
-  char buf[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, got);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return Status::Internal("read error on '" + path + "'");
+  POLYDAB_RETURN_NOT_OK(ReadFileToString(path, &text));
   return ParseTraceJsonLines(text);
 }
 

@@ -2,64 +2,136 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
+#include "common/file_util.h"
 #include "common/hash.h"
 #include "obs/json_util.h"
+#include "obs/metrics.h"
 #include "recovery/codec.h"
+#include "recovery/wal.h"
+
+// The checkpoint and WAL formats (checkpoint.h, wal.h) share one record
+// codec, so both are implemented here.
 
 namespace polydab::recovery {
 
 namespace {
 
-constexpr char kCkptVersion[] = "polydab.ckpt.v1";
+// ---------------------------------------------------------------------
+// The record codec both durable formats share. A record type lists its
+// fields once (the field-list protocol in checkpoint.h); Render spells
+// them as one flat JSON line in the json_util dialect, FieldDecoder
+// strictly parses them back, and both loaders share the line splitter
+// and the line-numbered diagnostics.
 
-/// Flat JSON line assembler in the json_util dialect (string and number
-/// values only), matching what ParseFlatJsonLine reads back.
-class LineBuilder {
- public:
-  LineBuilder& Str(const char* k, const std::string& v) {
-    Key(k);
-    line_ += '"';
-    line_ += obs::JsonEscape(v);
-    line_ += '"';
-    return *this;
-  }
-  LineBuilder& Num(const char* k, double v) {
-    Key(k);
-    line_ += obs::JsonNumber(v);
-    return *this;
-  }
-  LineBuilder& Int(const char* k, long long v) {
-    Key(k);
-    line_ += std::to_string(v);
-    return *this;
-  }
-  LineBuilder& UInt(const char* k, unsigned long long v) {
-    Key(k);
-    line_ += std::to_string(v);
-    return *this;
-  }
-  std::string Done() { return line_ + "}"; }
+using Buckets = std::vector<std::pair<int, int64_t>>;
 
- private:
-  void Key(const char* k) {
-    line_ += first_ ? '{' : ',';
-    first_ = false;
-    line_ += '"';
-    line_ += k;
-    line_ += "\":";
+// The spelling of one field value, by type: the only place a field
+// type's on-disk form is defined. Numbers are bare JSON numbers; every
+// other type is packed into one JSON string.
+template <class T>
+  requires std::is_integral_v<T>
+std::string FieldText(T v) {
+  return std::to_string(v);
+}
+std::string FieldText(char v) { return std::string(1, v); }
+std::string FieldText(double v) { return obs::JsonNumber(v); }
+std::string FieldText(const std::string& v) { return v; }
+std::string FieldText(const std::vector<int>& v) { return EncodeInts(v); }
+std::string FieldText(const Vector& v) { return EncodeVector(v); }
+std::string FieldText(const Buckets& b) {
+  std::string out;
+  for (size_t i = 0; i < b.size(); ++i) {
+    if (i > 0) out += ' ';
+    out += std::to_string(b[i].first) + ':' + std::to_string(b[i].second);
   }
-  std::string line_;
-  bool first_ = true;
+  return out;
+}
+
+template <class T>
+constexpr bool kQuoted = !std::is_arithmetic_v<T> || std::is_same_v<T, char>;
+
+/// Field-list visitor that spells every field of one record, in key
+/// order. Feeds both the line writers and DiffCheckpoints, so a
+/// snapshot's diff is exactly a diff of its serialization.
+struct Render {
+  struct Field {
+    const char* key;
+    std::string text;
+    bool quoted;
+  };
+  std::vector<Field> fields;
+
+  template <class T>
+  void operator()(const char* key, const T& v) {
+    fields.push_back({key, FieldText(v), kQuoted<T>});
+  }
+  void operator()(const char* key, double v, TokenTag) {
+    fields.push_back({key, EncodeDouble(v), true});
+  }
+  template <class R>
+  void Count(const char* key, const std::vector<R>& records, const char*) {
+    fields.push_back({key, std::to_string(records.size()), false});
+  }
 };
 
-/// One parsed block line, kept with its raw bytes for digest chaining.
-struct Rec {
+// Walks over the field lists.
+constexpr auto kRecordFields = [](auto& s, auto& v) {
+  std::remove_cvref_t<decltype(s)>::Fields(s, v);
+};
+constexpr auto kHeader = [](auto& s, auto& v) {
+  CheckpointState::HeaderFields(s, v);
+};
+constexpr auto kMetrics = [](auto& s, auto& v) {
+  CheckpointState::MetricFields(s, v);
+};
+constexpr auto kItems = [](auto& s, auto& v) {
+  CheckpointState::ItemFields(s, v);
+};
+
+template <class T, class Walk>
+Render RenderFields(const T& obj, Walk walk) {
+  Render r;
+  walk(obj, r);
+  return r;
+}
+
+/// Flat JSON line assembler, matching what ParseFlatJsonLine reads back.
+/// The first key is the record's tag ("t" in checkpoints, "w" in WALs).
+class LineBuilder {
+ public:
+  LineBuilder(const char* tag_key, const std::string& tag) {
+    line_ = std::string("{\"") + tag_key + "\":\"" + obs::JsonEscape(tag) +
+            '"';
+  }
+  LineBuilder& Add(const char* key, const std::string& text, bool quoted) {
+    line_ += std::string(",\"") + key + "\":";
+    line_ += quoted ? '"' + obs::JsonEscape(text) + '"' : text;
+    return *this;
+  }
+  /// Append \p r's fields and close the line (no trailing newline).
+  std::string Done(const Render& r) {
+    for (const Render::Field& f : r.fields) Add(f.key, f.text, f.quoted);
+    return line_ + "}";
+  }
+
+ private:
+  std::string line_;
+};
+
+/// One parsed record line, kept with its raw bytes for digest chaining.
+struct ParsedRecord {
+  const char* format = "";   ///< "ckpt" / "wal", for diagnostics
+  const char* tag_key = "";  ///< "t" / "w"
   int64_t line_number = 0;
   std::string raw;
   std::string tag;
@@ -72,77 +144,84 @@ Status LineError(int64_t line_number, const std::string& msg) {
                                  ": " + msg);
 }
 
-Status CheckKeys(const Rec& rec, const std::set<std::string>& allowed) {
-  for (const auto& [k, v] : rec.strings) {
-    if (allowed.count(k) == 0) {
-      return LineError(rec.line_number, "unknown key '" + k +
-                                            "' in ckpt '" + rec.tag +
-                                            "' record");
+/// Split \p text into record lines and syntax-parse each: blank lines
+/// are skipped, an unterminated final line is a truncation error, and
+/// every record must carry its tag under \p tag_key (\p tag_name names
+/// it in the diagnostic).
+Status ParseRecordLines(const std::string& text, const char* format,
+                        const char* tag_key, const char* tag_name,
+                        std::vector<ParsedRecord>* out) {
+  size_t start = 0;
+  int64_t line_number = 0;
+  while (start < text.size()) {
+    size_t end = text.find('\n', start);
+    const bool terminated = end != std::string::npos;
+    if (!terminated) end = text.size();
+    std::string line = text.substr(start, end - start);
+    start = end + 1;
+    ++line_number;
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    if (!terminated) {
+      return LineError(line_number,
+                       "truncated record at end of file (no trailing "
+                       "newline; partial write?)");
     }
+    ParsedRecord rec;
+    rec.format = format;
+    rec.tag_key = tag_key;
+    rec.line_number = line_number;
+    Status parsed = obs::ParseFlatJsonLine(line, &rec.strings, &rec.numbers);
+    if (!parsed.ok()) return LineError(line_number, parsed.message());
+    auto tit = rec.strings.find(tag_key);
+    if (tit == rec.strings.end()) {
+      return LineError(line_number, std::string(format) + " record has no '" +
+                                        tag_key + "' " + tag_name + " tag");
+    }
+    rec.tag = tit->second;
+    rec.raw = std::move(line);
+    out->push_back(std::move(rec));
+  }
+  return Status::OK();
+}
+
+/// "<format> '<tag>' record <what>", line-numbered.
+Status RecordError(const ParsedRecord& rec, const std::string& what) {
+  return LineError(rec.line_number, std::string(rec.format) + " '" +
+                                        rec.tag + "' record " + what);
+}
+
+Status UnknownKey(const ParsedRecord& rec, const std::string& key) {
+  return LineError(rec.line_number, "unknown key '" + key + "' in " +
+                                        rec.format + " '" + rec.tag +
+                                        "' record");
+}
+
+/// Reject any key outside \p allowed (for the hand-written records).
+Status CheckKeys(const ParsedRecord& rec,
+                 const std::set<std::string>& allowed) {
+  for (const auto& [k, v] : rec.strings) {
+    if (allowed.count(k) == 0) return UnknownKey(rec, k);
   }
   for (const auto& [k, v] : rec.numbers) {
-    if (allowed.count(k) == 0) {
-      return LineError(rec.line_number, "unknown key '" + k +
-                                            "' in ckpt '" + rec.tag +
-                                            "' record");
-    }
+    if (allowed.count(k) == 0) return UnknownKey(rec, k);
   }
   return Status::OK();
 }
 
-Status GetNum(const Rec& rec, const std::string& key, double* out) {
-  auto it = rec.numbers.find(key);
-  if (it == rec.numbers.end()) {
-    return LineError(rec.line_number, "ckpt '" + rec.tag +
-                                          "' record missing key '" + key +
-                                          "'");
+/// The value under \p key in \p values, the line's strings or numbers.
+template <class T>
+Status Get(const ParsedRecord& rec, const std::map<std::string, T>& values,
+           const std::string& key, T* out) {
+  auto it = values.find(key);
+  if (it == values.end()) {
+    return RecordError(rec, "missing key '" + key + "'");
   }
   *out = it->second;
   return Status::OK();
 }
 
-Status GetInt(const Rec& rec, const std::string& key, long long* out) {
-  double v = 0.0;
-  POLYDAB_RETURN_NOT_OK(GetNum(rec, key, &v));
-  *out = static_cast<long long>(v);
-  return Status::OK();
-}
-
-Status GetStr(const Rec& rec, const std::string& key, std::string* out) {
-  auto it = rec.strings.find(key);
-  if (it == rec.strings.end()) {
-    return LineError(rec.line_number, "ckpt '" + rec.tag +
-                                          "' record missing key '" + key +
-                                          "'");
-  }
-  *out = it->second;
-  return Status::OK();
-}
-
-/// Decode a string field holding one EncodeDouble token.
-Status GetTokDouble(const Rec& rec, const std::string& key, double* out) {
-  std::string tok;
-  POLYDAB_RETURN_NOT_OK(GetStr(rec, key, &tok));
-  Status s = DecodeDouble(tok, out);
-  if (!s.ok()) return LineError(rec.line_number, s.message());
-  return Status::OK();
-}
-
-std::string EncodeBuckets(const std::vector<std::pair<int, int64_t>>& b) {
-  std::string out;
-  for (size_t i = 0; i < b.size(); ++i) {
-    if (i > 0) out += ' ';
-    out += std::to_string(b[i].first);
-    out += ':';
-    out += std::to_string(b[i].second);
-  }
-  return out;
-}
-
-Status DecodeBuckets(const std::string& s,
-                     std::vector<std::pair<int, int64_t>>* out) {
+Status DecodeBuckets(const std::string& s, Buckets* out) {
   out->clear();
-  if (s.empty()) return Status::OK();
   std::istringstream in(s);
   std::string tok;
   while (in >> tok) {
@@ -150,169 +229,209 @@ Status DecodeBuckets(const std::string& s,
     if (colon == std::string::npos) {
       return Status::InvalidArgument("bad bucket token '" + tok + "'");
     }
-    out->emplace_back(std::stoi(tok.substr(0, colon)),
-                      static_cast<int64_t>(std::stoll(tok.substr(colon + 1))));
+    long long index = 0, n = 0;
+    POLYDAB_RETURN_NOT_OK(DecodeLong(tok.substr(0, colon), &index));
+    POLYDAB_RETURN_NOT_OK(DecodeLong(tok.substr(colon + 1), &n));
+    if (index < 0 || index >= obs::Histogram::kNumBuckets) {
+      return Status::InvalidArgument(
+          "histogram bucket index " + std::to_string(index) +
+          " out of range [0, " + std::to_string(obs::Histogram::kNumBuckets) +
+          ")");
+    }
+    out->emplace_back(static_cast<int>(index), static_cast<int64_t>(n));
   }
   return Status::OK();
 }
+
+// Strict decoding of one field value, by type: the inverse of FieldText.
+
+/// Every integer field (bool included) decodes here. [min, 2^digits) is
+/// exactly T's range and both bounds are exact doubles, so the cast
+/// below is always defined.
+template <class T>
+  requires std::is_integral_v<T>
+Status DecodeField(const ParsedRecord& rec, const char* key, T* out) {
+  double v = 0.0;
+  POLYDAB_RETURN_NOT_OK(Get(rec, rec.numbers, key, &v));
+  const double lo = static_cast<double>(std::numeric_limits<T>::min());
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(v >= lo && v < hi && v == std::trunc(v))) {
+    return RecordError(rec, std::string("key '") + key +
+                                "' is not an integer in range");
+  }
+  *out = static_cast<T>(v);
+  return Status::OK();
+}
+Status DecodeField(const ParsedRecord& rec, const char* key, char* out) {
+  std::string s;
+  POLYDAB_RETURN_NOT_OK(Get(rec, rec.strings, key, &s));
+  if (s.size() != 1) {
+    return RecordError(rec, std::string("key '") + key +
+                                "' is not one character");
+  }
+  *out = s[0];
+  return Status::OK();
+}
+Status DecodeField(const ParsedRecord& rec, const char* key, double* out) {
+  return Get(rec, rec.numbers, key, out);
+}
+Status DecodeField(const ParsedRecord& rec, const char* key,
+                   std::string* out) {
+  return Get(rec, rec.strings, key, out);
+}
+/// A string field of codec tokens (vectors, buckets, or one ±inf-capable
+/// double), decoded by the matching codec.h / bucket decoder.
+template <class T>
+Status DecodeField(const ParsedRecord& rec, const char* key, T* out,
+                   Status (*decode)(const std::string&, T*)) {
+  std::string s;
+  POLYDAB_RETURN_NOT_OK(Get(rec, rec.strings, key, &s));
+  Status ds = decode(s, out);
+  if (!ds.ok()) return LineError(rec.line_number, ds.message());
+  return Status::OK();
+}
+Status DecodeField(const ParsedRecord& rec, const char* key,
+                   std::vector<int>* out) {
+  return DecodeField(rec, key, out, DecodeInts);
+}
+Status DecodeField(const ParsedRecord& rec, const char* key, Vector* out) {
+  return DecodeField(rec, key, out, DecodeVector);
+}
+Status DecodeField(const ParsedRecord& rec, const char* key, Buckets* out) {
+  return DecodeField(rec, key, out, DecodeBuckets);
+}
+
+/// Field-list visitor that fills one record from its parsed line. Stops
+/// at the first bad field; Finish then also rejects any key of the line
+/// that no field claimed.
+class FieldDecoder {
+ public:
+  explicit FieldDecoder(const ParsedRecord& rec) : rec_(rec) {}
+
+  template <class T>
+  void operator()(const char* key, T& field) {
+    Visit(key, [&] { return DecodeField(rec_, key, &field); });
+  }
+  void operator()(const char* key, double& field, TokenTag) {
+    Visit(key, [&] { return DecodeField(rec_, key, &field, DecodeDouble); });
+  }
+  template <class R>
+  void Count(const char* key, std::vector<R>&, const char*) {
+    Visit(key, [&] { return DecodeField(rec_, key, &counts_.emplace_back()); });
+  }
+
+  /// The first field error, else the first key outside the tag, the
+  /// walked fields and \p extra.
+  Status Finish(std::initializer_list<const char*> extra = {}) const {
+    POLYDAB_RETURN_NOT_OK(status_);
+    auto claimed = [&](const std::string& k) {
+      if (k == rec_.tag_key) return true;
+      for (const char* e : extra) {
+        if (k == e) return true;
+      }
+      for (const char* s : seen_) {
+        if (k == s) return true;
+      }
+      return false;
+    };
+    for (const auto& [k, v] : rec_.strings) {
+      if (!claimed(k)) return UnknownKey(rec_, k);
+    }
+    for (const auto& [k, v] : rec_.numbers) {
+      if (!claimed(k)) return UnknownKey(rec_, k);
+    }
+    return Status::OK();
+  }
+  /// The declared record counts, in field-list order.
+  const std::vector<size_t>& counts() const { return counts_; }
+
+ private:
+  template <class F>
+  void Visit(const char* key, F decode) {
+    if (!status_.ok()) return;
+    seen_.push_back(key);
+    status_ = decode();
+  }
+
+  const ParsedRecord& rec_;
+  Status status_;
+  std::vector<const char*> seen_;
+  std::vector<size_t> counts_;
+};
+
+template <class T, class Walk>
+Status DecodeRecord(const ParsedRecord& rec, T* obj, Walk walk,
+                    std::initializer_list<const char*> extra = {}) {
+  FieldDecoder d(rec);
+  walk(*obj, d);
+  return d.Finish(extra);
+}
+
+// ---------------------------------------------------------------------
+// Checkpoint blocks.
+
+constexpr char kCkptVersion[] = "polydab.ckpt.v1";
+
+/// Field-list visitor checking the header's declared record counts
+/// against the records the block actually held.
+struct CountCheck {
+  const std::vector<size_t>& declared;
+  size_t next = 0;
+  Status status = Status::OK();
+
+  template <class... A>
+  void operator()(const char*, A&&...) {}
+  template <class R>
+  void Count(const char*, const std::vector<R>& records, const char* noun) {
+    const size_t want = declared[next++];
+    if (status.ok() && want != records.size()) {
+      status = Status::InvalidArgument(
+          "checkpoint block is internally inconsistent: header says " +
+          std::to_string(want) + " " + noun + " records, block has " +
+          std::to_string(records.size()));
+    }
+  }
+};
 
 /// Serialize one snapshot into its block lines (footer excluded).
 std::vector<std::string> BuildBlockLines(const CheckpointState& st) {
   std::vector<std::string> lines;
   lines.reserve(8 + st.queries.size() + st.parts.size() + st.events.size() +
                 st.instruments.size());
-  {
-    LineBuilder b;
-    b.Str("t", "hdr")
-        .Str("v", kCkptVersion)
-        .Int("tick", st.tick)
-        .Int("ticks_seen", st.ticks_seen)
-        .UInt("config_fp", st.config_fp)
-        .Int("items", st.num_items)
-        .Int("sources", st.num_sources)
-        .Int("shards", st.num_shards)
-        .UInt("trace_next_id", st.trace_next_id)
-        .UInt("ckpt_end_id", st.ckpt_end_id)
-        .Int("fault", st.fault_mode ? 1 : 0)
-        .Int("dqi", st.dqi_built ? 1 : 0)
-        .Int("usr", st.updates_since_rebase)
-        .Int("nq", static_cast<long long>(st.queries.size()))
-        .Int("np", static_cast<long long>(st.parts.size()))
-        .Int("nev", static_cast<long long>(st.events.size()))
-        .Str("delay_rng", st.delay_rng)
-        .Str("fault_rng", st.fault_rng)
-        .Str("svc", st.service_state);
-    lines.push_back(b.Done());
-  }
-  {
-    LineBuilder b;
-    b.Str("t", "met")
-        .Int("refreshes", st.refreshes)
-        .Int("recomputations", st.recomputations)
-        .Int("dab_changes", st.dab_change_messages)
-        .Int("notifications", st.user_notifications)
-        .Int("solver_failures", st.solver_failures)
-        .Int("drops", st.fault_drops)
-        .Int("retransmits", st.retransmits)
-        .Int("dups", st.duplicates_suppressed)
-        .Int("leases", st.lease_expiries)
-        .Num("degraded_s", st.degraded_query_seconds);
-    lines.push_back(b.Done());
-  }
+  lines.push_back(LineBuilder("t", "hdr")
+                      .Add("v", kCkptVersion, true)
+                      .Done(RenderFields(st, kHeader)));
+  lines.push_back(LineBuilder("t", "met").Done(RenderFields(st, kMetrics)));
   for (size_t i = 0; i < st.queries.size(); ++i) {
-    const CheckpointQuery& q = st.queries[i];
-    LineBuilder b;
-    b.Str("t", "q")
-        .Int("slot", static_cast<long long>(i))
-        .Int("id", q.id)
-        .Num("qab", q.qab)
-        .Str("poly", q.poly)
-        .Int("alive", q.alive ? 1 : 0)
-        .Int("reg", q.reg_tick)
-        .Int("dereg", q.dereg_tick)
-        .Num("viol", q.violated_time)
-        .Num("lastv", q.last_user_value)
-        .Int("shard", q.shard)
-        .Num("qval", q.query_value)
-        .Int("degi", q.degraded_items)
-        .UInt("dege", q.degrade_event);
-    lines.push_back(b.Done());
+    lines.push_back(LineBuilder("t", "q")
+                        .Add("slot", std::to_string(i), false)
+                        .Done(RenderFields(st.queries[i], kRecordFields)));
   }
   for (const CheckpointPart& p : st.parts) {
-    LineBuilder b;
-    b.Str("t", "part")
-        .Int("slot", p.slot)
-        .Int("part", p.part)
-        .Str("poly", p.poly)
-        .Num("pqab", p.pqab)
-        .Str("vars", EncodeInts(p.vars))
-        .Str("pri", p.primary)
-        .Str("sec", p.secondary)
-        .Num("rate", p.recompute_rate)
-        .Int("sdab", p.single_dab ? 1 : 0)
-        .Int("nstale", p.never_stale ? 1 : 0)
-        .Str("anchor", p.anchor);
-    lines.push_back(b.Done());
+    lines.push_back(
+        LineBuilder("t", "part").Done(RenderFields(p, kRecordFields)));
   }
-  {
-    LineBuilder b;
-    b.Str("t", "items")
-        .Str("view", EncodeVector(st.view))
-        .Str("src", EncodeVector(st.source_value))
-        .Str("pushed", EncodeVector(st.last_pushed))
-        .Str("inst", EncodeVector(st.installed_dab))
-        .Str("minp", EncodeVector(st.min_primary))
-        .Str("home", EncodeInts(st.item_home_shard))
-        .Str("free", EncodeVector(st.shard_free_at));
-    lines.push_back(b.Done());
-  }
+  lines.push_back(LineBuilder("t", "items").Done(RenderFields(st, kItems)));
   for (size_t i = 0; i < st.item_queries.size(); ++i) {
     const bool has_q = !st.item_queries[i].empty();
     const bool has_s = i < st.item_shards.size() && !st.item_shards[i].empty();
     if (!has_q && !has_s) continue;
-    LineBuilder b;
-    b.Str("t", "iq").Int("i", static_cast<long long>(i));
-    if (has_q) b.Str("q", EncodeInts(st.item_queries[i]));
-    if (has_s) b.Str("s", EncodeInts(st.item_shards[i]));
-    lines.push_back(b.Done());
+    LineBuilder b("t", "iq");
+    b.Add("i", std::to_string(i), false);
+    if (has_q) b.Add("q", EncodeInts(st.item_queries[i]), true);
+    if (has_s) b.Add("s", EncodeInts(st.item_shards[i]), true);
+    lines.push_back(b.Done(Render{}));
   }
-  for (const CheckpointEvent& e : st.events) {
-    LineBuilder b;
-    b.Str("t", "ev")
-        .Num("time", e.time)
-        .Int("k", e.type)
-        .Int("item", e.item)
-        .Num("val", e.value)
-        .UInt("tid", e.trace_id)
-        .Num("wait", e.wait)
-        .Int("seq", e.seq);
-    lines.push_back(b.Done());
-  }
-  for (const CheckpointSource& s : st.sources) {
-    LineBuilder b;
-    b.Str("t", "src")
-        .Int("i", s.source)
-        .Num("cu", s.crashed_until)
-        .UInt("ce", s.crash_event)
-        .Num("nh", s.next_heartbeat)
-        .Num("lc", s.last_contact)
-        .UInt("cte", s.contact_event);
-    lines.push_back(b.Done());
-  }
-  for (const CheckpointItemFault& f : st.item_fault) {
-    LineBuilder b;
-    b.Str("t", "if")
-        .Int("i", f.item)
-        .Int("ns", f.next_seq)
-        .Int("ds", f.delivered_seq)
-        .Int("dr", f.drop_seq)
-        .UInt("de", f.drop_eid)
-        .Int("exp", f.expired ? 1 : 0)
-        .UInt("ee", f.expire_event)
-        .Int("pl", f.pending_live ? 1 : 0)
-        .Int("ps", f.pending_seq)
-        .Num("pv", f.pending_value)
-        .UInt("pe", f.pending_emit_id)
-        .Num("pr", f.pending_next_retx)
-        .Int("pa", f.pending_attempts);
-    lines.push_back(b.Done());
-  }
-  for (const CheckpointInstrument& ins : st.instruments) {
-    LineBuilder b;
-    b.Str("t", "reg").Str("k", std::string(1, ins.kind)).Str("name", ins.name);
-    if (ins.kind == 'c') {
-      b.Int("v", ins.count);
-    } else if (ins.kind == 'g') {
-      b.Num("v", ins.value);
-    } else {
-      b.Int("count", ins.count)
-          .Num("sum", ins.sum)
-          .Str("min", EncodeDouble(ins.raw_min))
-          .Str("max", EncodeDouble(ins.raw_max))
-          .Str("b", EncodeBuckets(ins.buckets));
+  auto add_records = [&](const char* tag, const auto& records) {
+    for (const auto& r : records) {
+      lines.push_back(
+          LineBuilder("t", tag).Done(RenderFields(r, kRecordFields)));
     }
-    lines.push_back(b.Done());
-  }
+  };
+  add_records("ev", st.events);
+  add_records("src", st.sources);
+  add_records("if", st.item_fault);
+  add_records("reg", st.instruments);
   return lines;
 }
 
@@ -325,308 +444,126 @@ uint32_t BlockDigest(const std::vector<std::string>& lines) {
   return h;
 }
 
-Status DecodeBlock(const std::vector<const Rec*>& recs, CheckpointState* st) {
+/// Decode one appended record of a record vector.
+template <class T>
+Status DecodeAppend(const ParsedRecord& rec, std::vector<T>* out) {
+  return DecodeRecord(rec, &out->emplace_back(), kRecordFields);
+}
+
+/// Strict field decode of a digest-verified block; recs[0] is its header.
+Status DecodeBlock(const std::vector<const ParsedRecord*>& recs,
+                   CheckpointState* st) {
   *st = CheckpointState();
-  long long nq = -1, np = -1, nev = -1;
-  for (const Rec* rp : recs) {
-    const Rec& rec = *rp;
+  std::vector<size_t> declared;
+  std::vector<const ParsedRecord*> iq;
+  for (const ParsedRecord* rp : recs) {
+    const ParsedRecord& rec = *rp;
     if (rec.tag == "hdr") {
-      POLYDAB_RETURN_NOT_OK(CheckKeys(
-          rec, {"t", "v", "tick", "ticks_seen", "config_fp", "items",
-                "sources", "shards", "trace_next_id", "ckpt_end_id", "fault",
-                "dqi", "usr", "nq", "np", "nev", "delay_rng", "fault_rng",
-                "svc"}));
       std::string version;
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "v", &version));
+      POLYDAB_RETURN_NOT_OK(Get(rec, rec.strings, "v", &version));
       if (version != kCkptVersion) {
         return LineError(rec.line_number,
                          "checkpoint version skew: file says '" + version +
                              "', this build reads '" + kCkptVersion + "'");
       }
-      long long v = 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "tick", &v));
-      st->tick = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "ticks_seen", &v));
-      st->ticks_seen = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "config_fp", &v));
-      st->config_fp = static_cast<uint32_t>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "items", &v));
-      st->num_items = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "sources", &v));
-      st->num_sources = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "shards", &v));
-      st->num_shards = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "trace_next_id", &v));
-      st->trace_next_id = static_cast<uint64_t>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "ckpt_end_id", &v));
-      st->ckpt_end_id = static_cast<uint64_t>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "fault", &v));
-      st->fault_mode = v != 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "dqi", &v));
-      st->dqi_built = v != 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "usr", &v));
-      st->updates_since_rebase = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "nq", &nq));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "np", &np));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "nev", &nev));
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "delay_rng", &st->delay_rng));
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "fault_rng", &st->fault_rng));
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "svc", &st->service_state));
+      FieldDecoder d(rec);
+      CheckpointState::HeaderFields(*st, d);
+      POLYDAB_RETURN_NOT_OK(d.Finish({"v"}));
+      declared = d.counts();
     } else if (rec.tag == "met") {
-      POLYDAB_RETURN_NOT_OK(CheckKeys(
-          rec, {"t", "refreshes", "recomputations", "dab_changes",
-                "notifications", "solver_failures", "drops", "retransmits",
-                "dups", "leases", "degraded_s"}));
-      long long v = 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "refreshes", &v));
-      st->refreshes = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "recomputations", &v));
-      st->recomputations = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "dab_changes", &v));
-      st->dab_change_messages = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "notifications", &v));
-      st->user_notifications = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "solver_failures", &v));
-      st->solver_failures = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "drops", &v));
-      st->fault_drops = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "retransmits", &v));
-      st->retransmits = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "dups", &v));
-      st->duplicates_suppressed = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "leases", &v));
-      st->lease_expiries = v;
-      POLYDAB_RETURN_NOT_OK(
-          GetNum(rec, "degraded_s", &st->degraded_query_seconds));
+      POLYDAB_RETURN_NOT_OK(DecodeRecord(rec, st, kMetrics));
     } else if (rec.tag == "q") {
-      POLYDAB_RETURN_NOT_OK(CheckKeys(
-          rec, {"t", "slot", "id", "qab", "poly", "alive", "reg", "dereg",
-                "viol", "lastv", "shard", "qval", "degi", "dege"}));
-      long long slot = 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "slot", &slot));
-      if (slot != static_cast<long long>(st->queries.size())) {
+      size_t slot = 0;
+      POLYDAB_RETURN_NOT_OK(DecodeField(rec, "slot", &slot));
+      if (slot != st->queries.size()) {
         return LineError(rec.line_number,
                          "ckpt 'q' records out of slot order");
       }
-      CheckpointQuery q;
-      long long v = 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "id", &v));
-      q.id = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "qab", &q.qab));
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "poly", &q.poly));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "alive", &v));
-      q.alive = v != 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "reg", &v));
-      q.reg_tick = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "dereg", &v));
-      q.dereg_tick = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "viol", &q.violated_time));
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "lastv", &q.last_user_value));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "shard", &v));
-      q.shard = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "qval", &q.query_value));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "degi", &v));
-      q.degraded_items = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "dege", &v));
-      q.degrade_event = static_cast<uint64_t>(v);
-      st->queries.push_back(std::move(q));
+      POLYDAB_RETURN_NOT_OK(DecodeRecord(rec, &st->queries.emplace_back(),
+                                         kRecordFields, {"slot"}));
     } else if (rec.tag == "part") {
-      POLYDAB_RETURN_NOT_OK(CheckKeys(
-          rec, {"t", "slot", "part", "poly", "pqab", "vars", "pri", "sec",
-                "rate", "sdab", "nstale", "anchor"}));
-      CheckpointPart p;
-      long long v = 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "slot", &v));
-      p.slot = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "part", &v));
-      p.part = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "poly", &p.poly));
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "pqab", &p.pqab));
-      std::string vars;
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "vars", &vars));
-      Status ds = DecodeInts(vars, &p.vars);
-      if (!ds.ok()) return LineError(rec.line_number, ds.message());
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "pri", &p.primary));
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "sec", &p.secondary));
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "rate", &p.recompute_rate));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "sdab", &v));
-      p.single_dab = v != 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "nstale", &v));
-      p.never_stale = v != 0;
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "anchor", &p.anchor));
-      st->parts.push_back(std::move(p));
+      POLYDAB_RETURN_NOT_OK(DecodeAppend(rec, &st->parts));
     } else if (rec.tag == "items") {
-      POLYDAB_RETURN_NOT_OK(CheckKeys(
-          rec, {"t", "view", "src", "pushed", "inst", "minp", "home",
-                "free"}));
-      std::string s;
-      Status ds;
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "view", &s));
-      ds = DecodeVector(s, &st->view);
-      if (!ds.ok()) return LineError(rec.line_number, ds.message());
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "src", &s));
-      ds = DecodeVector(s, &st->source_value);
-      if (!ds.ok()) return LineError(rec.line_number, ds.message());
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "pushed", &s));
-      ds = DecodeVector(s, &st->last_pushed);
-      if (!ds.ok()) return LineError(rec.line_number, ds.message());
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "inst", &s));
-      ds = DecodeVector(s, &st->installed_dab);
-      if (!ds.ok()) return LineError(rec.line_number, ds.message());
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "minp", &s));
-      ds = DecodeVector(s, &st->min_primary);
-      if (!ds.ok()) return LineError(rec.line_number, ds.message());
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "home", &s));
-      ds = DecodeInts(s, &st->item_home_shard);
-      if (!ds.ok()) return LineError(rec.line_number, ds.message());
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "free", &s));
-      ds = DecodeVector(s, &st->shard_free_at);
-      if (!ds.ok()) return LineError(rec.line_number, ds.message());
+      POLYDAB_RETURN_NOT_OK(DecodeRecord(rec, st, kItems));
     } else if (rec.tag == "iq") {
-      POLYDAB_RETURN_NOT_OK(CheckKeys(rec, {"t", "i", "q", "s"}));
-      long long i = 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "i", &i));
-      if (i < 0 || i >= st->num_items) {
-        return LineError(rec.line_number, "ckpt 'iq' item out of range");
-      }
-      if (st->item_queries.empty()) {
-        st->item_queries.resize(static_cast<size_t>(st->num_items));
-        st->item_shards.resize(static_cast<size_t>(st->num_items));
-      }
-      auto qit = rec.strings.find("q");
-      if (qit != rec.strings.end()) {
-        Status ds = DecodeInts(qit->second,
-                               &st->item_queries[static_cast<size_t>(i)]);
-        if (!ds.ok()) return LineError(rec.line_number, ds.message());
-      }
-      auto sit = rec.strings.find("s");
-      if (sit != rec.strings.end()) {
-        Status ds =
-            DecodeInts(sit->second, &st->item_shards[static_cast<size_t>(i)]);
-        if (!ds.ok()) return LineError(rec.line_number, ds.message());
-      }
+      iq.push_back(&rec);  // decoded once the item count is known good
     } else if (rec.tag == "ev") {
-      POLYDAB_RETURN_NOT_OK(CheckKeys(
-          rec, {"t", "time", "k", "item", "val", "tid", "wait", "seq"}));
-      CheckpointEvent e;
-      long long v = 0;
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "time", &e.time));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "k", &v));
-      e.type = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "item", &v));
-      e.item = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "val", &e.value));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "tid", &v));
-      e.trace_id = static_cast<uint64_t>(v);
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "wait", &e.wait));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "seq", &v));
-      e.seq = v;
-      st->events.push_back(e);
+      POLYDAB_RETURN_NOT_OK(DecodeAppend(rec, &st->events));
     } else if (rec.tag == "src") {
-      POLYDAB_RETURN_NOT_OK(
-          CheckKeys(rec, {"t", "i", "cu", "ce", "nh", "lc", "cte"}));
-      CheckpointSource s;
-      long long v = 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "i", &v));
-      s.source = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "cu", &s.crashed_until));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "ce", &v));
-      s.crash_event = static_cast<uint64_t>(v);
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "nh", &s.next_heartbeat));
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "lc", &s.last_contact));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "cte", &v));
-      s.contact_event = static_cast<uint64_t>(v);
-      st->sources.push_back(s);
+      POLYDAB_RETURN_NOT_OK(DecodeAppend(rec, &st->sources));
     } else if (rec.tag == "if") {
-      POLYDAB_RETURN_NOT_OK(CheckKeys(
-          rec, {"t", "i", "ns", "ds", "dr", "de", "exp", "ee", "pl", "ps",
-                "pv", "pe", "pr", "pa"}));
-      CheckpointItemFault f;
-      long long v = 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "i", &v));
-      f.item = static_cast<int>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "ns", &v));
-      f.next_seq = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "ds", &v));
-      f.delivered_seq = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "dr", &v));
-      f.drop_seq = v;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "de", &v));
-      f.drop_eid = static_cast<uint64_t>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "exp", &v));
-      f.expired = v != 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "ee", &v));
-      f.expire_event = static_cast<uint64_t>(v);
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "pl", &v));
-      f.pending_live = v != 0;
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "ps", &v));
-      f.pending_seq = v;
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "pv", &f.pending_value));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "pe", &v));
-      f.pending_emit_id = static_cast<uint64_t>(v);
-      POLYDAB_RETURN_NOT_OK(GetNum(rec, "pr", &f.pending_next_retx));
-      POLYDAB_RETURN_NOT_OK(GetInt(rec, "pa", &v));
-      f.pending_attempts = static_cast<int>(v);
-      st->item_fault.push_back(f);
+      POLYDAB_RETURN_NOT_OK(DecodeAppend(rec, &st->item_fault));
     } else if (rec.tag == "reg") {
-      POLYDAB_RETURN_NOT_OK(CheckKeys(
-          rec, {"t", "k", "name", "v", "count", "sum", "min", "max", "b"}));
-      CheckpointInstrument ins;
-      std::string kind;
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "k", &kind));
-      if (kind != "c" && kind != "g" && kind != "h") {
-        return LineError(rec.line_number,
-                         "unknown instrument kind '" + kind + "'");
+      CheckpointInstrument& ins = st->instruments.emplace_back();
+      const Status decoded = DecodeRecord(rec, &ins, kRecordFields);
+      // The kind selects the remaining keys, so name a bad kind before
+      // any key it left unclaimed.
+      if (ins.kind != 'c' && ins.kind != 'g' && ins.kind != 'h') {
+        return LineError(rec.line_number, "unknown instrument kind '" +
+                                              std::string(1, ins.kind) + "'");
       }
-      ins.kind = kind[0];
-      POLYDAB_RETURN_NOT_OK(GetStr(rec, "name", &ins.name));
-      if (ins.kind == 'c') {
-        long long v = 0;
-        POLYDAB_RETURN_NOT_OK(GetInt(rec, "v", &v));
-        ins.count = v;
-      } else if (ins.kind == 'g') {
-        POLYDAB_RETURN_NOT_OK(GetNum(rec, "v", &ins.value));
-      } else {
-        long long v = 0;
-        POLYDAB_RETURN_NOT_OK(GetInt(rec, "count", &v));
-        ins.count = v;
-        POLYDAB_RETURN_NOT_OK(GetNum(rec, "sum", &ins.sum));
-        POLYDAB_RETURN_NOT_OK(GetTokDouble(rec, "min", &ins.raw_min));
-        POLYDAB_RETURN_NOT_OK(GetTokDouble(rec, "max", &ins.raw_max));
-        std::string b;
-        POLYDAB_RETURN_NOT_OK(GetStr(rec, "b", &b));
-        Status ds = DecodeBuckets(b, &ins.buckets);
-        if (!ds.ok()) return LineError(rec.line_number, ds.message());
-      }
-      st->instruments.push_back(std::move(ins));
+      POLYDAB_RETURN_NOT_OK(decoded);
     } else {
       return LineError(rec.line_number,
                        "unknown ckpt record type '" + rec.tag + "'");
     }
   }
-  if (nq != static_cast<long long>(st->queries.size())) {
+  CountCheck check{declared};
+  CheckpointState::HeaderFields(*st, check);
+  POLYDAB_RETURN_NOT_OK(check.status);
+  const size_t n_items = st->view.size();
+  if (st->num_items < 0 || static_cast<size_t>(st->num_items) != n_items) {
     return Status::InvalidArgument(
         "checkpoint block is internally inconsistent: header says " +
-        std::to_string(nq) + " query records, block has " +
-        std::to_string(st->queries.size()));
+        std::to_string(st->num_items) + " items, the items record has " +
+        std::to_string(n_items));
   }
-  if (np != static_cast<long long>(st->parts.size())) {
-    return Status::InvalidArgument(
-        "checkpoint block is internally inconsistent: header says " +
-        std::to_string(np) + " part records, block has " +
-        std::to_string(st->parts.size()));
-  }
-  if (nev != static_cast<long long>(st->events.size())) {
-    return Status::InvalidArgument(
-        "checkpoint block is internally inconsistent: header says " +
-        std::to_string(nev) + " event records, block has " +
-        std::to_string(st->events.size()));
-  }
-  if (st->item_queries.empty()) {
-    st->item_queries.resize(static_cast<size_t>(st->num_items));
-    st->item_shards.resize(static_cast<size_t>(st->num_items));
+  st->item_queries.resize(n_items);
+  st->item_shards.resize(n_items);
+  for (const ParsedRecord* rec : iq) {
+    POLYDAB_RETURN_NOT_OK(CheckKeys(*rec, {"t", "i", "q", "s"}));
+    size_t i = 0;
+    POLYDAB_RETURN_NOT_OK(DecodeField(*rec, "i", &i));
+    if (i >= n_items) {
+      return LineError(rec->line_number, "ckpt 'iq' item out of range");
+    }
+    if (rec->strings.count("q") != 0) {
+      POLYDAB_RETURN_NOT_OK(DecodeField(*rec, "q", &st->item_queries[i]));
+    }
+    if (rec->strings.count("s") != 0) {
+      POLYDAB_RETURN_NOT_OK(DecodeField(*rec, "s", &st->item_shards[i]));
+    }
   }
   return Status::OK();
+}
+
+// ---------------------------------------------------------------------
+// WAL records.
+
+constexpr char kWalVersion[] = "polydab.wal.v1";
+
+/// Record tags, indexed by WalRecord::Kind.
+constexpr const char* kKindTags[] = {"hdr", "row", "ack", "churn", "crash"};
+
+Status DecodeWalRecord(const ParsedRecord& rec, WalRecord* out) {
+  size_t kind = 0;
+  while (kind < std::size(kKindTags) && rec.tag != kKindTags[kind]) ++kind;
+  if (kind == std::size(kKindTags)) {
+    return LineError(rec.line_number,
+                     "unknown wal record kind '" + rec.tag + "'");
+  }
+  out->kind = static_cast<WalRecord::Kind>(kind);
+  if (out->kind != WalRecord::Kind::kHeader) {
+    return DecodeRecord(rec, out, kRecordFields);
+  }
+  std::string version;
+  POLYDAB_RETURN_NOT_OK(Get(rec, rec.strings, "v", &version));
+  if (version != kWalVersion) {
+    return LineError(rec.line_number, "wal version skew: file says '" +
+                                          version + "', this build reads '" +
+                                          kWalVersion + "'");
+  }
+  return DecodeRecord(rec, out, kRecordFields, {"v"});
 }
 
 }  // namespace
@@ -656,49 +593,12 @@ Status WriteCheckpoint(const CheckpointState& state, const std::string& path) {
 }
 
 Status LoadLatestCheckpoint(const std::string& path, CheckpointState* out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return Status::InvalidArgument("cannot open '" + path + "'");
-  }
   std::string text;
-  char buf[1 << 16];
-  size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, got);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return Status::Internal("read error on '" + path + "'");
+  POLYDAB_RETURN_NOT_OK(ReadFileToString(path, &text));
 
   // Pass 1: split and syntax-parse every line, keeping raw bytes.
-  std::vector<Rec> recs;
-  size_t start = 0;
-  int64_t line_number = 0;
-  while (start < text.size()) {
-    size_t end = text.find('\n', start);
-    const bool terminated = end != std::string::npos;
-    if (!terminated) end = text.size();
-    std::string line = text.substr(start, end - start);
-    start = end + 1;
-    ++line_number;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    if (!terminated) {
-      return LineError(line_number,
-                       "truncated record at end of file (no trailing "
-                       "newline; partial write?)");
-    }
-    Rec rec;
-    rec.line_number = line_number;
-    Status parsed = obs::ParseFlatJsonLine(line, &rec.strings, &rec.numbers);
-    if (!parsed.ok()) return LineError(line_number, parsed.message());
-    auto tit = rec.strings.find("t");
-    if (tit == rec.strings.end()) {
-      return LineError(line_number, "ckpt record has no 't' type tag");
-    }
-    rec.tag = tit->second;
-    rec.raw = std::move(line);
-    recs.push_back(std::move(rec));
-  }
+  std::vector<ParsedRecord> recs;
+  POLYDAB_RETURN_NOT_OK(ParseRecordLines(text, "ckpt", "t", "type", &recs));
   if (recs.empty()) {
     return Status::InvalidArgument("'" + path + "' is empty");
   }
@@ -745,25 +645,26 @@ Status LoadLatestCheckpoint(const std::string& path, CheckpointState* out) {
   }
 
   // Pass 3: verify the chosen block's digest footer.
-  const Rec& footer = recs[chosen->footer];
+  const ParsedRecord& footer = recs[chosen->footer];
   POLYDAB_RETURN_NOT_OK(CheckKeys(footer, {"t", "digest", "n"}));
-  long long want_digest = 0, want_n = 0;
-  POLYDAB_RETURN_NOT_OK(GetInt(footer, "digest", &want_digest));
-  POLYDAB_RETURN_NOT_OK(GetInt(footer, "n", &want_n));
+  uint32_t want_digest = 0;
+  size_t want_n = 0;
+  POLYDAB_RETURN_NOT_OK(DecodeField(footer, "digest", &want_digest));
+  POLYDAB_RETURN_NOT_OK(DecodeField(footer, "n", &want_n));
   std::vector<std::string> raw_lines;
-  std::vector<const Rec*> block_recs;
+  std::vector<const ParsedRecord*> block_recs;
   for (size_t i = chosen->begin; i < chosen->footer; ++i) {
     raw_lines.push_back(recs[i].raw);
     block_recs.push_back(&recs[i]);
   }
-  if (want_n != static_cast<long long>(raw_lines.size())) {
+  if (want_n != raw_lines.size()) {
     return LineError(footer.line_number,
                      "ckpt footer line count mismatch: footer says " +
                          std::to_string(want_n) + ", block has " +
                          std::to_string(raw_lines.size()));
   }
   const uint32_t have_digest = BlockDigest(raw_lines);
-  if (static_cast<uint32_t>(want_digest) != have_digest) {
+  if (want_digest != have_digest) {
     return LineError(footer.line_number,
                      "ckpt digest mismatch: footer says " +
                          std::to_string(want_digest) +
@@ -772,15 +673,13 @@ Status LoadLatestCheckpoint(const std::string& path, CheckpointState* out) {
   }
 
   // Pass 4: strict field decode of the verified block.
-  Status decoded = DecodeBlock(block_recs, out);
-  if (!decoded.ok()) return decoded;
-  return Status::OK();
+  return DecodeBlock(block_recs, out);
 }
 
 std::string SummarizeCheckpoint(const CheckpointState& st) {
   size_t live = 0;
   for (const CheckpointQuery& q : st.queries) {
-    if (q.alive) ++live;
+    if (q.slot.alive) ++live;
   }
   std::string out;
   char buf[256];
@@ -834,6 +733,46 @@ std::string SummarizeCheckpoint(const CheckpointState& st) {
   return out;
 }
 
+void AppendWal(std::FILE* f, const WalRecord& record) {
+  LineBuilder b("w", kKindTags[static_cast<size_t>(record.kind)]);
+  if (record.kind == WalRecord::Kind::kHeader) b.Add("v", kWalVersion, true);
+  const std::string line = b.Done(RenderFields(record, kRecordFields));
+  std::fprintf(f, "%s\n", line.c_str());
+}
+
+Status LoadWal(const std::string& path, std::vector<WalRecord>* out) {
+  out->clear();
+  std::string text;
+  POLYDAB_RETURN_NOT_OK(ReadFileToString(path, &text));
+  std::vector<ParsedRecord> recs;
+  POLYDAB_RETURN_NOT_OK(ParseRecordLines(text, "wal", "w", "kind", &recs));
+  bool saw_header = false;
+  for (const ParsedRecord& rec : recs) {
+    WalRecord record;
+    POLYDAB_RETURN_NOT_OK(DecodeWalRecord(rec, &record));
+    if (record.kind == WalRecord::Kind::kHeader) {
+      saw_header = true;
+      continue;  // headers carry no state; one per engine invocation
+    }
+    if (!saw_header) {
+      return LineError(rec.line_number, "wal record before any 'hdr' record");
+    }
+    out->push_back(std::move(record));
+  }
+  if (!saw_header) {
+    return Status::InvalidArgument("'" + path +
+                                   "': not a polydab WAL (no 'hdr' record)");
+  }
+  return Status::OK();
+}
+
+const WalRecord* LastCrashMarker(const std::vector<WalRecord>& records) {
+  for (size_t i = records.size(); i > 0; --i) {
+    if (records[i - 1].kind == WalRecord::Kind::kCrash) return &records[i - 1];
+  }
+  return nullptr;
+}
+
 namespace {
 
 /// Diff helper: count every difference, print the first max_lines of them.
@@ -844,25 +783,36 @@ struct DiffSink {
 
   void Report(const std::string& path, const std::string& a,
               const std::string& b) {
+    if (a == b) return;
     ++count;
     if (count <= max_lines) {
-      *out += "  " + path + ": " + a + " vs " + b + "\n";
+      *out += "  " + path + ": " + Clip(a) + " vs " + Clip(b) + "\n";
     }
   }
-  void Int(const std::string& path, long long a, long long b) {
-    if (a != b) Report(path, std::to_string(a), std::to_string(b));
+  static std::string Clip(const std::string& s) {
+    return s.size() > 40 ? s.substr(0, 40) + "..." : s;
   }
-  void Dbl(const std::string& path, double a, double b) {
-    // Bit-compare via the round-trip encoding so -0.0 vs 0.0 and NaN
-    // payload changes show up.
-    const std::string ea = EncodeDouble(a), eb = EncodeDouble(b);
-    if (ea != eb) Report(path, ea, eb);
+
+  /// Every field of one record, compared as serialized. A kind-dependent
+  /// record (reg) whose kinds differ renders different key lists; its
+  /// "k" field reports that, and the shared prefix is still compared.
+  template <class T, class Walk>
+  void Fields(const std::string& path, const T& a, const T& b, Walk walk) {
+    const Render ra = RenderFields(a, walk), rb = RenderFields(b, walk);
+    for (size_t i = 0; i < ra.fields.size() && i < rb.fields.size(); ++i) {
+      Report(path + ra.fields[i].key, ra.fields[i].text, rb.fields[i].text);
+    }
   }
-  void Str(const std::string& path, const std::string& a,
-           const std::string& b) {
-    if (a != b) {
-      Report(path, a.size() > 40 ? a.substr(0, 40) + "..." : a,
-             b.size() > 40 ? b.substr(0, 40) + "..." : b);
+  /// A record vector, element by element. \p counted: the header already
+  /// reports a size difference.
+  template <class T>
+  void Records(const std::string& tag, const std::vector<T>& a,
+               const std::vector<T>& b, bool counted) {
+    if (!counted) {
+      Report(tag + ".size", std::to_string(a.size()), std::to_string(b.size()));
+    }
+    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
+      Fields(tag + "[" + std::to_string(i) + "].", a[i], b[i], kRecordFields);
     }
   }
 };
@@ -874,96 +824,24 @@ int DiffCheckpoints(const CheckpointState& a, const CheckpointState& b,
   DiffSink d;
   d.max_lines = max_lines;
   d.out = out;
-  d.Int("tick", a.tick, b.tick);
-  d.Int("ticks_seen", a.ticks_seen, b.ticks_seen);
-  d.Int("config_fp", a.config_fp, b.config_fp);
-  d.Int("items", a.num_items, b.num_items);
-  d.Int("sources", a.num_sources, b.num_sources);
-  d.Int("shards", a.num_shards, b.num_shards);
-  d.Int("trace_next_id", static_cast<long long>(a.trace_next_id),
-        static_cast<long long>(b.trace_next_id));
-  d.Int("fault", a.fault_mode, b.fault_mode);
-  d.Int("dqi", a.dqi_built, b.dqi_built);
-  d.Int("updates_since_rebase", a.updates_since_rebase,
-        b.updates_since_rebase);
-  d.Int("metrics.refreshes", a.refreshes, b.refreshes);
-  d.Int("metrics.recomputations", a.recomputations, b.recomputations);
-  d.Int("metrics.dab_changes", a.dab_change_messages, b.dab_change_messages);
-  d.Int("metrics.notifications", a.user_notifications, b.user_notifications);
-  d.Int("metrics.solver_failures", a.solver_failures, b.solver_failures);
-  d.Int("metrics.drops", a.fault_drops, b.fault_drops);
-  d.Int("metrics.retransmits", a.retransmits, b.retransmits);
-  d.Int("metrics.dups", a.duplicates_suppressed, b.duplicates_suppressed);
-  d.Int("metrics.leases", a.lease_expiries, b.lease_expiries);
-  d.Dbl("metrics.degraded_s", a.degraded_query_seconds,
-        b.degraded_query_seconds);
-  d.Str("delay_rng", a.delay_rng, b.delay_rng);
-  d.Str("fault_rng", a.fault_rng, b.fault_rng);
-  d.Str("service_state", a.service_state, b.service_state);
-
-  d.Int("queries.size", static_cast<long long>(a.queries.size()),
-        static_cast<long long>(b.queries.size()));
-  const size_t nq = std::min(a.queries.size(), b.queries.size());
-  for (size_t i = 0; i < nq; ++i) {
-    const std::string p = "q[" + std::to_string(i) + "].";
-    d.Int(p + "id", a.queries[i].id, b.queries[i].id);
-    d.Dbl(p + "qab", a.queries[i].qab, b.queries[i].qab);
-    d.Str(p + "poly", a.queries[i].poly, b.queries[i].poly);
-    d.Int(p + "alive", a.queries[i].alive, b.queries[i].alive);
-    d.Dbl(p + "viol", a.queries[i].violated_time, b.queries[i].violated_time);
-    d.Dbl(p + "lastv", a.queries[i].last_user_value,
-          b.queries[i].last_user_value);
-    d.Int(p + "shard", a.queries[i].shard, b.queries[i].shard);
-    d.Dbl(p + "qval", a.queries[i].query_value, b.queries[i].query_value);
-    d.Int(p + "degi", a.queries[i].degraded_items, b.queries[i].degraded_items);
+  d.Fields("hdr.", a, b, kHeader);
+  d.Fields("met.", a, b, kMetrics);
+  d.Records("q", a.queries, b.queries, /*counted=*/true);
+  d.Records("part", a.parts, b.parts, /*counted=*/true);
+  d.Fields("items.", a, b, kItems);
+  const size_t n_iq = std::min({a.item_queries.size(), b.item_queries.size(),
+                                a.item_shards.size(), b.item_shards.size()});
+  for (size_t i = 0; i < n_iq; ++i) {
+    const std::string p = "iq[" + std::to_string(i) + "].";
+    d.Report(p + "q", FieldText(a.item_queries[i]),
+             FieldText(b.item_queries[i]));
+    d.Report(p + "s", FieldText(a.item_shards[i]),
+             FieldText(b.item_shards[i]));
   }
-  d.Int("parts.size", static_cast<long long>(a.parts.size()),
-        static_cast<long long>(b.parts.size()));
-  const size_t np = std::min(a.parts.size(), b.parts.size());
-  for (size_t i = 0; i < np; ++i) {
-    const std::string p = "part[" + std::to_string(i) + "].";
-    d.Str(p + "poly", a.parts[i].poly, b.parts[i].poly);
-    d.Str(p + "pri", a.parts[i].primary, b.parts[i].primary);
-    d.Str(p + "sec", a.parts[i].secondary, b.parts[i].secondary);
-    d.Str(p + "anchor", a.parts[i].anchor, b.parts[i].anchor);
-    d.Dbl(p + "rate", a.parts[i].recompute_rate, b.parts[i].recompute_rate);
-  }
-  d.Str("view", EncodeVector(a.view), EncodeVector(b.view));
-  d.Str("source_value", EncodeVector(a.source_value),
-        EncodeVector(b.source_value));
-  d.Str("last_pushed", EncodeVector(a.last_pushed),
-        EncodeVector(b.last_pushed));
-  d.Str("installed_dab", EncodeVector(a.installed_dab),
-        EncodeVector(b.installed_dab));
-  d.Str("min_primary", EncodeVector(a.min_primary),
-        EncodeVector(b.min_primary));
-  d.Str("shard_free_at", EncodeVector(a.shard_free_at),
-        EncodeVector(b.shard_free_at));
-  d.Int("events.size", static_cast<long long>(a.events.size()),
-        static_cast<long long>(b.events.size()));
-  const size_t ne = std::min(a.events.size(), b.events.size());
-  for (size_t i = 0; i < ne; ++i) {
-    const std::string p = "ev[" + std::to_string(i) + "].";
-    d.Dbl(p + "time", a.events[i].time, b.events[i].time);
-    d.Int(p + "k", a.events[i].type, b.events[i].type);
-    d.Int(p + "item", a.events[i].item, b.events[i].item);
-    d.Dbl(p + "val", a.events[i].value, b.events[i].value);
-    d.Int(p + "tid", static_cast<long long>(a.events[i].trace_id),
-          static_cast<long long>(b.events[i].trace_id));
-  }
-  d.Int("instruments.size", static_cast<long long>(a.instruments.size()),
-        static_cast<long long>(b.instruments.size()));
-  const size_t ni = std::min(a.instruments.size(), b.instruments.size());
-  for (size_t i = 0; i < ni; ++i) {
-    const CheckpointInstrument& x = a.instruments[i];
-    const CheckpointInstrument& y = b.instruments[i];
-    const std::string p = "reg[" + x.name + "].";
-    d.Str(p + "name", x.name, y.name);
-    d.Int(p + "count", x.count, y.count);
-    d.Dbl(p + "value", x.value, y.value);
-    d.Dbl(p + "sum", x.sum, y.sum);
-    d.Str(p + "buckets", EncodeBuckets(x.buckets), EncodeBuckets(y.buckets));
-  }
+  d.Records("ev", a.events, b.events, /*counted=*/true);
+  d.Records("src", a.sources, b.sources, /*counted=*/false);
+  d.Records("if", a.item_fault, b.item_fault, /*counted=*/false);
+  d.Records("reg", a.instruments, b.instruments, /*counted=*/false);
   if (d.count > d.max_lines) {
     *out += "  ... " + std::to_string(d.count - d.max_lines) +
             " more difference(s)\n";

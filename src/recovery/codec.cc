@@ -28,6 +28,44 @@ std::vector<std::string> Split(const std::string& s, char sep) {
   return out;
 }
 
+/// DecodeLong narrowed to int, for item ids, lanes and exponents.
+Status DecodeInt(const std::string& tok, int* out) {
+  long long v = 0;
+  POLYDAB_RETURN_NOT_OK(DecodeLong(tok, &v));
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument("integer token '" + tok +
+                                   "' out of range");
+  }
+  *out = static_cast<int>(v);
+  return Status::OK();
+}
+
+/// Space-join the tokens \p encode spells for \p v ("" when empty).
+template <class T, class F>
+std::string JoinTokens(const std::vector<T>& v, F encode) {
+  std::string out;
+  for (size_t i = 0; i < v.size(); ++i) {
+    if (i > 0) out += ' ';
+    out += encode(v[i]);
+  }
+  return out;
+}
+
+/// Inverse of JoinTokens, one \p decode call per token.
+template <class T>
+Status SplitTokens(const std::string& s, std::vector<T>* out,
+                   Status (*decode)(const std::string&, T*)) {
+  out->clear();
+  if (s.empty()) return Status::OK();
+  for (const std::string& tok : Split(s, ' ')) {
+    POLYDAB_RETURN_NOT_OK(decode(tok, &out->emplace_back()));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status DecodeLong(const std::string& tok, long long* out) {
   errno = 0;
   char* end = nullptr;
@@ -38,8 +76,6 @@ Status DecodeLong(const std::string& tok, long long* out) {
   *out = v;
   return Status::OK();
 }
-
-}  // namespace
 
 std::string EncodeDouble(double v) {
   if (std::isnan(v)) return "nan";
@@ -71,43 +107,19 @@ Status DecodeDouble(const std::string& tok, double* out) {
 }
 
 std::string EncodeVector(const Vector& v) {
-  std::string out;
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out += ' ';
-    out += EncodeDouble(v[i]);
-  }
-  return out;
+  return JoinTokens(v, EncodeDouble);
 }
 
 Status DecodeVector(const std::string& s, Vector* out) {
-  out->clear();
-  if (s.empty()) return Status::OK();
-  for (const std::string& tok : Split(s, ' ')) {
-    double v = 0.0;
-    POLYDAB_RETURN_NOT_OK(DecodeDouble(tok, &v));
-    out->push_back(v);
-  }
-  return Status::OK();
+  return SplitTokens(s, out, DecodeDouble);
 }
 
 std::string EncodeInts(const std::vector<int>& v) {
-  std::string out;
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out += ' ';
-    out += std::to_string(v[i]);
-  }
-  return out;
+  return JoinTokens(v, [](int x) { return std::to_string(x); });
 }
 
 Status DecodeInts(const std::string& s, std::vector<int>* out) {
-  out->clear();
-  if (s.empty()) return Status::OK();
-  for (const std::string& tok : Split(s, ' ')) {
-    long long v = 0;
-    POLYDAB_RETURN_NOT_OK(DecodeLong(tok, &v));
-    out->push_back(static_cast<int>(v));
-  }
-  return Status::OK();
+  return SplitTokens(s, out, DecodeInt);
 }
 
 std::string EncodePolynomial(const Polynomial& p) {
@@ -150,10 +162,10 @@ Status DecodePolynomial(const std::string& s, Polynomial* out) {
           return Status::InvalidArgument("polynomial power '" + vp +
                                          "' has no ':'");
         }
-        long long var = 0, pow = 0;
-        POLYDAB_RETURN_NOT_OK(DecodeLong(vp.substr(0, colon), &var));
-        POLYDAB_RETURN_NOT_OK(DecodeLong(vp.substr(colon + 1), &pow));
-        powers.emplace_back(static_cast<VarId>(var), static_cast<int>(pow));
+        int var = 0, pow = 0;
+        POLYDAB_RETURN_NOT_OK(DecodeInt(vp.substr(0, colon), &var));
+        POLYDAB_RETURN_NOT_OK(DecodeInt(vp.substr(colon + 1), &pow));
+        powers.emplace_back(static_cast<VarId>(var), pow);
       }
     }
     terms.emplace_back(coef, std::move(powers));

@@ -28,11 +28,16 @@ std::string EncodeDouble(double v);
 /// Inverse of EncodeDouble. InvalidArgument on anything else.
 Status DecodeDouble(const std::string& tok, double* out);
 
+/// One decimal integer token, strictly: no sign-only, trailing bytes or
+/// overflow.
+Status DecodeLong(const std::string& tok, long long* out);
+
 /// Space-separated EncodeDouble tokens ("" for an empty vector).
 std::string EncodeVector(const Vector& v);
 Status DecodeVector(const std::string& s, Vector* out);
 
-/// Space-separated decimal integers ("" for an empty vector).
+/// Space-separated decimal integers ("" for an empty vector); the
+/// decoder rejects tokens outside the int range.
 std::string EncodeInts(const std::vector<int>& v);
 Status DecodeInts(const std::string& s, std::vector<int>* out);
 

@@ -33,63 +33,43 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-enum class EventType {
+// Message kinds, stored as QueuedEvent::type (so the heap checkpoints
+// verbatim).
+enum EventType : int {
   kRefresh,
   kDabChange,
   kAckArrive,   // fault mode: coordinator ack reaching the source
   kHeartbeat,   // fault mode: source liveness signal reaching C
 };
 
-struct Event {
-  double time;
-  EventType type;
-  int item;      // kHeartbeat: the source id
-  double value;  // refresh: item value; dab-change: new filter width
-  // Causal-trace bookkeeping, 0 when tracing is off: the id of the
-  // refresh_emitted / dab_change_sent event this message corresponds to,
-  // and the total coordinator-queue wait accumulated across deferrals.
-  uint64_t trace_id = 0;
-  double wait = 0.0;
-  // Fault mode: the refresh/ack sequence number; 0 = unsequenced
-  // (fault-free runs, DAB changes).
-  int64_t seq = 0;
+using Event = recovery::QueuedEvent;
+using WalKind = recovery::WalRecord::Kind;
 
-  bool operator>(const Event& other) const { return time > other.time; }
-};
-
-/// Fault mode: a source's latest unacked refresh of one item, kept for
-/// timeout retransmission. Replaced wholesale when a newer value pushes
-/// (the newer seq supersedes the older one).
-/// In-flight message queue. Drop-in for the former
-/// `std::priority_queue<Event, std::vector<Event>, std::greater<Event>>`:
-/// the standard specifies priority_queue::push as push_back + push_heap
-/// and ::pop as pop_heap + pop_back, so this explicit heap is
-/// bit-identical to it — while exposing the underlying array, which the
-/// crash-recovery checkpoint (src/recovery/) serializes verbatim and
-/// restores without re-heapifying (docs/RECOVERY.md).
+/// In-flight message queue. Drop-in for the former earliest-first
+/// `std::priority_queue<Event, std::vector<Event>, Later>`: the standard
+/// specifies priority_queue::push as push_back + push_heap and ::pop as
+/// pop_heap + pop_back, so this explicit heap is bit-identical to it —
+/// while exposing the underlying array, which the crash-recovery
+/// checkpoint (src/recovery/) serializes verbatim and restores without
+/// re-heapifying (docs/RECOVERY.md).
 struct EventQueue {
-  std::vector<Event> c;  // valid heap under std::greater<Event>
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      return a.time > b.time;
+    }
+  };
+  std::vector<Event> c;  // valid heap under Later
 
   bool empty() const { return c.empty(); }
-  size_t size() const { return c.size(); }
   const Event& top() const { return c.front(); }
   void push(Event e) {
     c.push_back(e);
-    std::push_heap(c.begin(), c.end(), std::greater<Event>{});
+    std::push_heap(c.begin(), c.end(), Later{});
   }
   void pop() {
-    std::pop_heap(c.begin(), c.end(), std::greater<Event>{});
+    std::pop_heap(c.begin(), c.end(), Later{});
     c.pop_back();
   }
-};
-
-struct PendingRefresh {
-  int64_t seq = 0;
-  double value = 0.0;
-  uint64_t emit_id = 0;   // latest emission (refresh_emitted / retransmit)
-  double next_retx = 0.0;
-  int attempts = 0;
-  bool live = false;
 };
 
 /// Whole simulation state; method-free aggregation kept local to this TU.
@@ -109,20 +89,57 @@ struct State {
   std::vector<std::vector<Vector>> anchors;
   Vector min_primary;  // EQI merge target per item
 
+  // Per query slot: liveness, registration interval, fidelity loss, the
+  // value the user last saw, lane, and fault-mode degradation. Slots are
+  // append-only: a deregistered query keeps its index.
+  std::vector<recovery::QuerySlot> slots;
+
   // Coordinator lanes (sharded coordinator; one lane == the historical
-  // serial resource). Queries are pinned to lanes; an item's *home* lane
-  // is the lane of the first query referencing it (-1: unused item), and
-  // item_shards lists every lane with a query referencing the item, so
-  // cross-lane EQI merges know which lanes a barrier must join.
-  std::vector<int> query_shard;               // query index -> lane
+  // serial resource). Queries are pinned to lanes (QuerySlot::shard); an
+  // item's *home* lane is the lane of the first query referencing it
+  // (-1: unused item), and item_shards lists every lane with a query
+  // referencing the item, so cross-lane EQI merges know which lanes a
+  // barrier must join.
   std::vector<int> item_home_shard;           // item -> home lane
   std::vector<std::vector<int>> item_shards;  // item -> sorted unique lanes
   std::vector<double> shard_free_at;          // per-lane busy-until time
 
-  // Bookkeeping.
-  std::vector<double> violated_time;  // per query: fidelity loss
   EventQueue events;
 };
+
+/// An RNG stream's checkpoint form: the engine's own text state.
+std::string SaveStream(Rng& rng) {
+  std::ostringstream os;
+  os << rng.engine();
+  return os.str();
+}
+bool LoadStream(const std::string& text, Rng* rng) {
+  std::istringstream in(text);
+  in >> rng->engine();
+  return !in.fail();
+}
+
+/// Install a lane partition (query slot -> lane) and re-derive every
+/// item's home lane and lane set from it.
+void ApplyPartition(State& st, const std::vector<int>& lanes) {
+  for (size_t qi = 0; qi < lanes.size(); ++qi) st.slots[qi].shard = lanes[qi];
+  const size_t n_items = st.item_queries.size();
+  st.item_home_shard.assign(n_items, -1);
+  st.item_shards.resize(n_items);
+  for (size_t i = 0; i < n_items; ++i) {
+    auto& item_lanes = st.item_shards[i];
+    item_lanes.clear();
+    const auto& qs = st.item_queries[i];
+    if (qs.empty()) continue;
+    st.item_home_shard[i] = st.slots[static_cast<size_t>(qs[0])].shard;
+    for (int qi : qs) {
+      item_lanes.push_back(st.slots[static_cast<size_t>(qi)].shard);
+    }
+    std::sort(item_lanes.begin(), item_lanes.end());
+    item_lanes.erase(std::unique(item_lanes.begin(), item_lanes.end()),
+                     item_lanes.end());
+  }
+}
 
 /// Minimum primary DAB for one item across every part of every plan that
 /// references it (the EQI merge of §IV).
@@ -447,7 +464,7 @@ Result<SimMetrics> RunSimulation(
       return Status::InvalidArgument("cannot open WAL '" + rec->wal_path +
                                      "' for appending");
     }
-    recovery::AppendWalHeader(wal_file.get());
+    recovery::AppendWal(wal_file.get(), {.kind = WalKind::kHeader});
   }
   // Replay bookkeeping, filled by the restore block below. Declared this
   // early because the ack/churn lambdas capture them: audit records are
@@ -458,6 +475,11 @@ Result<SimMetrics> RunSimulation(
   std::vector<const recovery::WalRecord*> replay_rows;
   bool replay_done = true;
   size_t replay_idx = 0;
+  auto append_wal = [&](const recovery::WalRecord& record) {
+    if (wal_file != nullptr && replay_done) {
+      recovery::AppendWal(wal_file.get(), record);
+    }
+  };
 
   // Telemetry: cache instruments once and propagate the registry into the
   // planner (and through it the GP solver) so one SimConfig::registry
@@ -617,9 +639,18 @@ Result<SimMetrics> RunSimulation(
         return Status::InvalidArgument(
             "restart: bad query polynomial in checkpoint: " + ps.message());
       }
+      if (cq.slot.alive && (cq.slot.shard < 0 || cq.slot.shard >= num_shards)) {
+        return Status::InvalidArgument(
+            "restart: checkpoint query slot " +
+            std::to_string(restored.size()) + " lane " +
+            std::to_string(cq.slot.shard) + " out of range");
+      }
       restored.push_back(std::move(q));
+      st.slots.push_back(cq.slot);
     }
     queries = std::move(restored);
+  } else {
+    st.slots.resize(queries.size());
   }
 
   if (!rec_restart) {
@@ -639,42 +670,48 @@ Result<SimMetrics> RunSimulation(
     // the event loop below reduces to the historical serial coordinator
     // (bit-identically: same iteration order, same RNG draw order, same
     // floating-point accumulation sequence).
-    {
-      core::QueryIndex qindex(queries, n_items);
-      st.query_shard = config.shard_policy == ShardPolicy::kQueryHash
+    core::QueryIndex qindex(queries, n_items);
+    ApplyPartition(st, config.shard_policy == ShardPolicy::kQueryHash
                            ? qindex.ShardByQueryId(num_shards)
-                           : qindex.ShardByComponent(num_shards);
-    }
-    st.item_home_shard.assign(n_items, -1);
-    st.item_shards.resize(n_items);
-    for (size_t i = 0; i < n_items; ++i) {
-      const auto& qs = st.item_queries[i];
-      if (qs.empty()) continue;
-      st.item_home_shard[i] = st.query_shard[static_cast<size_t>(qs[0])];
-      auto& lanes = st.item_shards[i];
-      for (int qi : qs) {
-        lanes.push_back(st.query_shard[static_cast<size_t>(qi)]);
-      }
-      std::sort(lanes.begin(), lanes.end());
-      lanes.erase(std::unique(lanes.begin(), lanes.end()), lanes.end());
-    }
+                           : qindex.ShardByComponent(num_shards));
   } else {
     // These structures evolve under churn (dead slots leave, modified
     // polynomials move items), so they are restored verbatim rather than
-    // rebuilt from the slot vector.
+    // rebuilt from the slot vector — after every slot and lane they name
+    // is checked, since the event loop indexes with them unchecked.
     if (ckpt->item_queries.size() != n_items ||
         ckpt->item_home_shard.size() != n_items ||
         ckpt->item_shards.size() != n_items) {
       return Status::InvalidArgument(
           "restart: checkpoint item-table width mismatch");
     }
+    for (size_t i = 0; i < n_items; ++i) {
+      const std::string item = "restart: checkpoint item " + std::to_string(i);
+      for (int qi : ckpt->item_queries[i]) {
+        if (qi < 0 || static_cast<size_t>(qi) >= st.slots.size() ||
+            !st.slots[static_cast<size_t>(qi)].alive) {
+          return Status::InvalidArgument(item + " references query slot " +
+                                         std::to_string(qi) +
+                                         ", which is out of range or dead");
+        }
+      }
+      for (int lane : ckpt->item_shards[i]) {
+        if (lane < 0 || lane >= num_shards) {
+          return Status::InvalidArgument(item + " lane " +
+                                         std::to_string(lane) +
+                                         " out of range");
+        }
+      }
+      const int home = ckpt->item_home_shard[i];
+      if (home < -1 || home >= num_shards) {
+        return Status::InvalidArgument(item + " home lane " +
+                                       std::to_string(home) +
+                                       " out of range");
+      }
+    }
     st.item_queries = ckpt->item_queries;
     st.item_home_shard = ckpt->item_home_shard;
     st.item_shards = ckpt->item_shards;
-    st.query_shard.resize(queries.size());
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      st.query_shard[qi] = ckpt->queries[qi].shard;
-    }
   }
   st.shard_free_at.assign(static_cast<size_t>(num_shards), 0.0);
   if (trace != nullptr && sharded) {
@@ -707,49 +744,31 @@ Result<SimMetrics> RunSimulation(
   }
   st.plans.resize(queries.size());
   st.anchors.resize(queries.size());
-  st.violated_time.assign(queries.size(), 0.0);
 
   SimMetrics metrics;
 
   // --- Fault-mode protocol state (docs/ROBUSTNESS.md). Sized only when
-  // the fault layer is active; every use below is behind `fault_mode`. ---
-  std::vector<int64_t> next_seq;          // item -> next refresh seq (from 1)
-  std::vector<PendingRefresh> pending;    // item -> latest unacked refresh
-  std::vector<int64_t> delivered_seq;     // item -> highest seq delivered at C
-  std::vector<double> crashed_until;      // source -> down until this time
-  std::vector<uint64_t> crash_event;      // source -> trace id of the crash
-  std::vector<double> next_heartbeat;     // source -> next heartbeat time
-  std::vector<double> last_contact;       // source -> last contact seen at C
-  std::vector<uint64_t> contact_event;    // source -> trace id of the contact
-  std::vector<uint8_t> item_expired;      // item -> lease currently lapsed?
-  std::vector<uint64_t> expire_event;     // item -> trace id of the expiry
-  std::vector<int64_t> drop_seq;          // item -> max dropped data seq
-  std::vector<uint64_t> drop_eid;         // item -> trace id of that drop
-  std::vector<int> degraded_items;        // query -> # of its expired items
-  std::vector<uint64_t> degrade_event;    // query -> trace id of the degrade
+  // the fault layer is active; every use below is behind `fault_mode`.
+  // Fresh runs start from the record defaults: seq 1 next, nothing
+  // pending, the first heartbeat due at tick 1 and the t=0 install
+  // counting as every source's last contact. ---
+  std::vector<recovery::SourceState> sources;        // per source
+  std::vector<recovery::ItemFaultState> item_fault;  // per item
   std::vector<std::vector<int>> source_items;  // source -> its queried items
   if (fault_mode) {
-    next_seq.assign(n_items, 1);
-    pending.assign(n_items, PendingRefresh{});
-    delivered_seq.assign(n_items, 0);
-    drop_seq.assign(n_items, 0);
-    drop_eid.assign(n_items, 0);
-    item_expired.assign(n_items, 0);
-    expire_event.assign(n_items, 0);
     const size_t ns = static_cast<size_t>(num_sources);
-    crashed_until.assign(ns, 0.0);
-    crash_event.assign(ns, 0);
-    next_heartbeat.assign(ns, 0.0);  // first heartbeat fires at tick 1
-    last_contact.assign(ns, 0.0);    // t=0 install counts as contact
-    contact_event.assign(ns, 0);
+    sources.resize(ns);
+    for (size_t s = 0; s < ns; ++s) sources[s].source = static_cast<int>(s);
+    item_fault.resize(n_items);
+    for (size_t i = 0; i < n_items; ++i) {
+      item_fault[i].item = static_cast<int>(i);
+    }
     source_items.resize(ns);
     for (size_t i = 0; i < n_items; ++i) {
       if (!st.item_queries[i].empty()) {
         source_items[i % ns].push_back(static_cast<int>(i));
       }
     }
-    degraded_items.assign(queries.size(), 0);
-    degrade_event.assign(queries.size(), 0);
   }
 
   if (rec_restart) {
@@ -765,49 +784,28 @@ Result<SimMetrics> RunSimulation(
     metrics.lease_expiries = ckpt->lease_expiries;
     metrics.degraded_query_seconds = ckpt->degraded_query_seconds;
     if (fault_mode) {
-      if (ckpt->sources.size() != static_cast<size_t>(num_sources)) {
+      if (ckpt->sources.size() != sources.size()) {
         return Status::InvalidArgument(
             "restart: checkpoint source-table size mismatch");
       }
-      for (size_t s = 0; s < ckpt->sources.size(); ++s) {
-        const recovery::CheckpointSource& cs = ckpt->sources[s];
-        if (cs.source != static_cast<int>(s)) {
+      for (size_t s = 0; s < sources.size(); ++s) {
+        if (ckpt->sources[s].source != sources[s].source) {
           return Status::InvalidArgument(
               "restart: checkpoint source records out of order");
         }
-        crashed_until[s] = cs.crashed_until;
-        crash_event[s] = cs.crash_event;
-        next_heartbeat[s] = cs.next_heartbeat;
-        last_contact[s] = cs.last_contact;
-        contact_event[s] = cs.contact_event;
       }
-      if (ckpt->item_fault.size() != n_items) {
+      if (ckpt->item_fault.size() != item_fault.size()) {
         return Status::InvalidArgument(
             "restart: checkpoint item-fault table size mismatch");
       }
-      for (size_t i = 0; i < ckpt->item_fault.size(); ++i) {
-        const recovery::CheckpointItemFault& cf = ckpt->item_fault[i];
-        if (cf.item != static_cast<int>(i)) {
+      for (size_t i = 0; i < item_fault.size(); ++i) {
+        if (ckpt->item_fault[i].item != item_fault[i].item) {
           return Status::InvalidArgument(
               "restart: checkpoint item-fault records out of order");
         }
-        next_seq[i] = cf.next_seq;
-        delivered_seq[i] = cf.delivered_seq;
-        drop_seq[i] = cf.drop_seq;
-        drop_eid[i] = cf.drop_eid;
-        item_expired[i] = cf.expired ? 1 : 0;
-        expire_event[i] = cf.expire_event;
-        pending[i].live = cf.pending_live;
-        pending[i].seq = cf.pending_seq;
-        pending[i].value = cf.pending_value;
-        pending[i].emit_id = cf.pending_emit_id;
-        pending[i].next_retx = cf.pending_next_retx;
-        pending[i].attempts = cf.pending_attempts;
       }
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        degraded_items[qi] = ckpt->queries[qi].degraded_items;
-        degrade_event[qi] = ckpt->queries[qi].degrade_event;
-      }
+      sources = ckpt->sources;
+      item_fault = ckpt->item_fault;
     } else if (!ckpt->sources.empty() || !ckpt->item_fault.empty()) {
       return Status::InvalidArgument(
           "restart: checkpoint carries fault tables but the fault layer "
@@ -820,17 +818,18 @@ Result<SimMetrics> RunSimulation(
   // any of the source's items whose lease had lapsed. A query leaves
   // degraded service once every one of its expired items recovered.
   auto record_contact = [&](int s, double t, uint64_t cid) {
-    const size_t ss = static_cast<size_t>(s);
-    last_contact[ss] = t;
-    contact_event[ss] = cid;
-    for (int item : source_items[ss]) {
-      const size_t it = static_cast<size_t>(item);
-      if (item_expired[it] == 0) continue;
-      item_expired[it] = 0;
-      expire_event[it] = 0;
-      for (int qi : st.item_queries[it]) {
+    recovery::SourceState& src = sources[static_cast<size_t>(s)];
+    src.last_contact = t;
+    src.contact_event = cid;
+    for (int item : source_items[static_cast<size_t>(s)]) {
+      recovery::ItemFaultState& f = item_fault[static_cast<size_t>(item)];
+      if (!f.expired) continue;
+      f.expired = false;
+      f.expire_event = 0;
+      for (int qi : st.item_queries[static_cast<size_t>(item)]) {
         const size_t q = static_cast<size_t>(qi);
-        if (--degraded_items[q] == 0) {
+        recovery::QuerySlot& slot = st.slots[q];
+        if (--slot.degraded_items == 0) {
           if (trace != nullptr) {
             obs::TraceEvent e;
             e.time = t;
@@ -841,7 +840,7 @@ Result<SimMetrics> RunSimulation(
             e.cause = cid;
             trace->Emit(e);
           }
-          degrade_event[q] = 0;
+          slot.degrade_event = 0;
         }
       }
     }
@@ -859,7 +858,7 @@ Result<SimMetrics> RunSimulation(
       if (ins.fault_drops != nullptr) ins.fault_drops->Inc();
       // Per-item send seqs are non-decreasing (pending holds only the
       // latest), so this drop is the item's newest outstanding loss.
-      drop_seq[item] = seq;
+      item_fault[item].drop_seq = seq;
       if (trace != nullptr) {
         obs::TraceEvent e;
         e.time = now;
@@ -871,7 +870,7 @@ Result<SimMetrics> RunSimulation(
         e.a = value;
         e.b = static_cast<double>(klass);
         e.flag = static_cast<int32_t>(seq);
-        drop_eid[item] = trace->Emit(e);
+        item_fault[item].drop_eid = trace->Emit(e);
       }
       return;
     }
@@ -883,15 +882,11 @@ Result<SimMetrics> RunSimulation(
       // The duplicate copy races the original on its own delay draw.
       const double dup_delay =
           faults.ProtocolDelay(config.delays) + faults.ExtraDelay();
-      Event dup{now + dup_delay, EventType::kRefresh,
-                static_cast<int>(item), value, emit_id, 0.0};
-      dup.seq = seq;
-      st.events.push(dup);
+      st.events.push(Event{now + dup_delay, EventType::kRefresh,
+                           static_cast<int>(item), value, emit_id, 0.0, seq});
     }
-    Event ev{now + delay, EventType::kRefresh, static_cast<int>(item),
-             value, emit_id, 0.0};
-    ev.seq = seq;
-    st.events.push(ev);
+    st.events.push(Event{now + delay, EventType::kRefresh,
+                         static_cast<int>(item), value, emit_id, 0.0, seq});
   };
 
   // Coordinator acks delivered (or suppressed-duplicate) seq `seq` of
@@ -910,9 +905,7 @@ Result<SimMetrics> RunSimulation(
     }
     // Audit record only: restart replay regenerates acks deterministically
     // from the rows, so the loader never feeds these back.
-    if (wal_file != nullptr && replay_done) {
-      recovery::AppendWalAck(wal_file.get(), now, item, seq);
-    }
+    append_wal({.kind = WalKind::kAck, .time = now, .item = item, .seq = seq});
     if (faults.DropMessage()) {
       ++metrics.fault_drops;
       if (ins.fault_drops != nullptr) ins.fault_drops->Inc();
@@ -930,10 +923,9 @@ Result<SimMetrics> RunSimulation(
       }
       return;
     }
-    Event ack{now + faults.ProtocolDelay(config.delays) + faults.ExtraDelay(),
-              EventType::kAckArrive, item, 0.0, ack_id, 0.0};
-    ack.seq = seq;
-    st.events.push(ack);
+    st.events.push(
+        Event{now + faults.ProtocolDelay(config.delays) + faults.ExtraDelay(),
+              EventType::kAckArrive, item, 0.0, ack_id, 0.0, seq});
   };
 
   auto anchor_part = [&](size_t qi, size_t pi) {
@@ -984,7 +976,7 @@ Result<SimMetrics> RunSimulation(
         obs::TraceQueryInfo info;
         info.query = queries[qi].id;
         info.node = tnode;
-        if (sharded) info.shard = st.query_shard[qi];
+        if (sharded) info.shard = st.slots[qi].shard;
         info.qab = queries[qi].qab;
         for (VarId v : queries[qi].p.Variables()) {
           info.items.push_back(static_cast<int32_t>(v));
@@ -1017,6 +1009,23 @@ Result<SimMetrics> RunSimulation(
             "restart: checkpoint part records for slot " +
             std::to_string(cp.slot) + " out of order");
       }
+      for (int v : cp.vars) {
+        if (v < 0 || static_cast<size_t>(v) >= n_items) {
+          return Status::InvalidArgument(
+              "restart: checkpoint part for slot " + std::to_string(cp.slot) +
+              " references item " + std::to_string(v) + " out of range");
+        }
+      }
+      if (cp.primary.size() != cp.vars.size() ||
+          cp.secondary.size() != cp.vars.size()) {
+        return Status::InvalidArgument(
+            "restart: checkpoint part DAB widths disagree with its "
+            "variable list");
+      }
+      if (cp.anchor.size() != cp.vars.size()) {
+        return Status::InvalidArgument(
+            "restart: checkpoint part anchor width mismatch");
+      }
       core::PlanPart part;
       part.subquery.id = queries[slot].id;
       part.subquery.qab = cp.pqab;
@@ -1025,34 +1034,14 @@ Result<SimMetrics> RunSimulation(
         return Status::InvalidArgument(
             "restart: bad part polynomial in checkpoint: " + ps.message());
       }
-      part.dabs.vars.reserve(cp.vars.size());
-      for (int v : cp.vars) {
-        part.dabs.vars.push_back(static_cast<VarId>(v));
-      }
-      POLYDAB_RETURN_NOT_OK(
-          recovery::DecodeVector(cp.primary, &part.dabs.primary));
-      POLYDAB_RETURN_NOT_OK(
-          recovery::DecodeVector(cp.secondary, &part.dabs.secondary));
+      part.dabs.vars = cp.vars;
+      part.dabs.primary = cp.primary;
+      part.dabs.secondary = cp.secondary;
       part.dabs.recompute_rate = cp.recompute_rate;
       part.dabs.single_dab = cp.single_dab;
       part.dabs.never_stale = cp.never_stale;
-      if (part.dabs.primary.size() != part.dabs.vars.size() ||
-          part.dabs.secondary.size() != part.dabs.vars.size()) {
-        return Status::InvalidArgument(
-            "restart: checkpoint part DAB widths disagree with its "
-            "variable list");
-      }
-      Vector anchor;
-      POLYDAB_RETURN_NOT_OK(recovery::DecodeVector(cp.anchor, &anchor));
-      if (anchor.size() != part.dabs.vars.size()) {
-        return Status::InvalidArgument(
-            "restart: checkpoint part anchor width mismatch");
-      }
       st.plans[slot].parts.push_back(std::move(part));
-      st.anchors[slot].push_back(std::move(anchor));
-    }
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      st.violated_time[qi] = ckpt->queries[qi].violated_time;
+      st.anchors[slot].push_back(cp.anchor);
     }
     if (ckpt->min_primary.size() != n_items ||
         ckpt->installed_dab.size() != n_items) {
@@ -1122,7 +1111,7 @@ Result<SimMetrics> RunSimulation(
           e.item = static_cast<int32_t>(item);
           e.query = queries[qi].id;
           e.part = static_cast<int32_t>(pi);
-          if (sharded) e.shard = st.query_shard[qi];
+          if (sharded) e.shard = st.slots[qi].shard;
           e.cause = cause_id;
           e.a = fresh;
           e.b = old_width;
@@ -1141,22 +1130,20 @@ Result<SimMetrics> RunSimulation(
 
   // §I-B: for each refresh, the coordinator checks which QABs would be
   // violated relative to the value last sent to the user, and pushes those
-  // query results. last_user_value tracks what each user last saw.
-  Vector last_user_value(queries.size());
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    last_user_value[qi] = view_eval.QueryValue(qi);
+  // query results. QuerySlot::last_user_value tracks what each user last
+  // saw (a restart restored it with the slot).
+  if (!rec_restart) {
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      st.slots[qi].last_user_value = view_eval.QueryValue(qi);
+    }
   }
 
-  // --- Runtime churn state (docs/SERVICE.md). Slots are append-only:
-  // a deregistered query keeps its index (q_alive flips off and its plan
-  // empties), so every parallel per-query array stays index-stable. All
-  // of this is inert — allocated but never branched on — when no service
-  // driver is attached or the driver never issues an op, which is what
-  // keeps a zero-churn run byte-identical to the historical path. ---
-  std::vector<uint8_t> q_alive(queries.size(), 1);
-  std::vector<int> q_reg_tick(queries.size(), 0);
-  std::vector<int> q_dereg_tick(queries.size(),
-                                std::numeric_limits<int>::max());
+  // --- Runtime churn state (docs/SERVICE.md). A deregistered query
+  // keeps its slot (alive flips off and its plan empties), so every
+  // per-query array stays index-stable. All of this is inert when no
+  // service driver is attached or the driver never issues an op, which
+  // is what keeps a zero-churn run byte-identical to the historical
+  // path. ---
   std::unique_ptr<core::DynamicQueryIndex> dqi;
   int cur_tick = 0;     // logical clock for the churn transaction lambdas
   double cur_now = 0.0;
@@ -1180,21 +1167,9 @@ Result<SimMetrics> RunSimulation(
   // dynamic index after a churn event. Dead slots get lane -1; they are
   // never referenced from item_queries, so the -1 is never read.
   auto refresh_partition = [&]() {
-    st.query_shard = dqi->ShardAssignment(
-        num_shards, config.shard_policy == ShardPolicy::kEqiComponents);
-    st.item_home_shard.assign(n_items, -1);
-    for (size_t i = 0; i < n_items; ++i) {
-      auto& lanes = st.item_shards[i];
-      lanes.clear();
-      const auto& qs = st.item_queries[i];
-      if (qs.empty()) continue;
-      st.item_home_shard[i] = st.query_shard[static_cast<size_t>(qs[0])];
-      for (int qi : qs) {
-        lanes.push_back(st.query_shard[static_cast<size_t>(qi)]);
-      }
-      std::sort(lanes.begin(), lanes.end());
-      lanes.erase(std::unique(lanes.begin(), lanes.end()), lanes.end());
-    }
+    ApplyPartition(st, dqi->ShardAssignment(
+                           num_shards, config.shard_policy ==
+                                           ShardPolicy::kEqiComponents));
   };
 
   // The plan_patch invariant: after every churn event, hash the complete
@@ -1206,13 +1181,13 @@ Result<SimMetrics> RunSimulation(
     if (trace == nullptr) return;
     std::vector<size_t> live;
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      if (q_alive[qi] != 0) live.push_back(qi);
+      if (st.slots[qi].alive) live.push_back(qi);
     }
     std::sort(live.begin(), live.end(),
               [&](size_t a, size_t b) { return queries[a].id < queries[b].id; });
     uint32_t digest = kFnv1a32Seed;
     for (size_t qi : live) {
-      digest = HashPlanRecord(digest, queries[qi].id, st.query_shard[qi],
+      digest = HashPlanRecord(digest, queries[qi].id, st.slots[qi].shard,
                               dqi->ComponentMin(static_cast<int>(qi)),
                               queries[qi].qab);
     }
@@ -1279,7 +1254,7 @@ Result<SimMetrics> RunSimulation(
 
   auto find_live = [&](int query_id) -> int {
     for (size_t i = 0; i < queries.size(); ++i) {
-      if (q_alive[i] != 0 && queries[i].id == query_id) {
+      if (st.slots[i].alive && queries[i].id == query_id) {
         return static_cast<int>(i);
       }
     }
@@ -1301,16 +1276,13 @@ Result<SimMetrics> RunSimulation(
     ensure_dqi();
     const size_t qi = queries.size();
     queries.push_back(q);
-    q_alive.push_back(1);
-    q_reg_tick.push_back(cur_tick);
-    q_dereg_tick.push_back(std::numeric_limits<int>::max());
+    st.slots.push_back(recovery::QuerySlot{.reg_tick = cur_tick});
     st.plans.push_back(std::move(plan));
     st.anchors.emplace_back();
     st.anchors[qi].resize(st.plans[qi].parts.size());
     for (size_t pi = 0; pi < st.plans[qi].parts.size(); ++pi) {
       anchor_part(qi, pi);
     }
-    st.violated_time.push_back(0.0);
     const std::vector<VarId> items = q.p.Variables();
     for (VarId v : items) {
       st.item_queries[static_cast<size_t>(v)].push_back(
@@ -1318,9 +1290,9 @@ Result<SimMetrics> RunSimulation(
     }
     dqi->AddQuery(q.id, items);
     refresh_partition();
-    const int lane = st.query_shard[qi];
+    const int lane = st.slots[qi].shard;
     view_eval.AddQuery(q);
-    last_user_value.push_back(view_eval.QueryValue(qi));
+    st.slots[qi].last_user_value = view_eval.QueryValue(qi);
     uint64_t reg_id = 0;
     if (trace != nullptr) {
       obs::TraceQueryInfo info;
@@ -1353,9 +1325,10 @@ Result<SimMetrics> RunSimulation(
         std::max(cur_now, st.shard_free_at[lane_s]) + busy;
     emit_plan_patch(reg_id);
     ship_churn_changes(items, reg_id, q.id, lane);
-    if (wal_file != nullptr && replay_done) {
-      recovery::AppendWalChurn(wal_file.get(), cur_tick, "register", q.id);
-    }
+    append_wal({.kind = WalKind::kChurn,
+                .tick = cur_tick,
+                .op = "register",
+                .query_id = q.id});
     return Status::OK();
   };
 
@@ -1376,7 +1349,7 @@ Result<SimMetrics> RunSimulation(
     }
     ensure_dqi();
     refresh_partition();
-    const int lane = st.query_shard[q];
+    const int lane = st.slots[q].shard;
     uint64_t mod_id = 0;
     if (trace != nullptr) {
       obs::TraceEvent e;
@@ -1398,9 +1371,10 @@ Result<SimMetrics> RunSimulation(
         std::max(cur_now, st.shard_free_at[lane_s]) + busy;
     emit_plan_patch(mod_id);
     ship_churn_changes(queries[q].p.Variables(), mod_id, query_id, lane);
-    if (wal_file != nullptr && replay_done) {
-      recovery::AppendWalChurn(wal_file.get(), cur_tick, "modify", query_id);
-    }
+    append_wal({.kind = WalKind::kChurn,
+                .tick = cur_tick,
+                .op = "modify",
+                .query_id = query_id});
     return Status::OK();
   };
 
@@ -1414,9 +1388,9 @@ Result<SimMetrics> RunSimulation(
     ensure_dqi();
     // The pre-removal lane stamps the trace event; afterwards the slot
     // has no lane.
-    const int lane = st.query_shard[q];
-    q_alive[q] = 0;
-    q_dereg_tick[q] = cur_tick;
+    const int lane = st.slots[q].shard;
+    st.slots[q].alive = false;
+    st.slots[q].dereg_tick = cur_tick;
     const std::vector<VarId> items = queries[q].p.Variables();
     for (VarId v : items) {
       auto& qs = st.item_queries[static_cast<size_t>(v)];
@@ -1439,10 +1413,10 @@ Result<SimMetrics> RunSimulation(
     // Dropping a query is bookkeeping, not solver work: no lane charge.
     emit_plan_patch(de_id);
     ship_churn_changes(items, de_id, /*q_id=*/-1, /*q_lane=*/-1);
-    if (wal_file != nullptr && replay_done) {
-      recovery::AppendWalChurn(wal_file.get(), cur_tick, "deregister",
-                               query_id);
-    }
+    append_wal({.kind = WalKind::kChurn,
+                .tick = cur_tick,
+                .op = "deregister",
+                .query_id = query_id});
     return Status::OK();
   };
 
@@ -1523,7 +1497,8 @@ Result<SimMetrics> RunSimulation(
       if (ev.type == EventType::kAckArrive) {
         // Source side: the ack clears the retransmit obligation for this
         // seq and anything older (a newer pending seq stays live).
-        PendingRefresh& p = pending[static_cast<size_t>(ev.item)];
+        recovery::ItemFaultState::Pending& p =
+            item_fault[static_cast<size_t>(ev.item)].pending;
         if (p.live && ev.seq >= p.seq) p.live = false;
         continue;
       }
@@ -1558,7 +1533,7 @@ Result<SimMetrics> RunSimulation(
         continue;
       }
       if (fault_mode && ev.seq != 0 &&
-          ev.seq <= delivered_seq[static_cast<size_t>(ev.item)]) {
+          ev.seq <= item_fault[static_cast<size_t>(ev.item)].delivered_seq) {
         // An already-delivered seq (injected duplicate, or a retransmit
         // that raced its own ack): suppressed without the QAB-check cost,
         // but still a liveness contact, and re-acked in case the earlier
@@ -1611,7 +1586,7 @@ Result<SimMetrics> RunSimulation(
         arrival_id = trace->Emit(e);
       }
       if (fault_mode && ev.seq != 0) {
-        delivered_seq[static_cast<size_t>(ev.item)] = ev.seq;
+        item_fault[static_cast<size_t>(ev.item)].delivered_seq = ev.seq;
         record_contact(ev.item % num_sources, ev.time, arrival_id);
         send_ack(ev.item, ev.seq, ev.time, arrival_id);
       }
@@ -1659,7 +1634,7 @@ Result<SimMetrics> RunSimulation(
       // is solved inline at its install slot instead.
       if (threaded) {
         for (StalePart& sp : stale) {
-          sp.worker = st.query_shard[static_cast<size_t>(sp.qi)] %
+          sp.worker = st.slots[static_cast<size_t>(sp.qi)].shard %
                       pool.workers();
           const bool abort_job =
               ++solve_jobs_dispatched == config.rt_fail_at;
@@ -1680,15 +1655,15 @@ Result<SimMetrics> RunSimulation(
       // Install, walking the queries in the same order as the collect.
       size_t next_stale = 0;
       for (int qi : st.item_queries[static_cast<size_t>(ev.item)]) {
-        const size_t lane = static_cast<size_t>(st.query_shard[
-            static_cast<size_t>(qi)]);
+        recovery::QuerySlot& slot = st.slots[static_cast<size_t>(qi)];
+        const size_t lane = static_cast<size_t>(slot.shard);
         // Push the fresh result to the user when it drifted past the QAB
         // since the last notification.
         const double qv = view_eval.QueryValue(static_cast<size_t>(qi));
-        const double prev_user = last_user_value[static_cast<size_t>(qi)];
+        const double prev_user = slot.last_user_value;
         if (std::fabs(qv - prev_user) >
             queries[static_cast<size_t>(qi)].qab) {
-          last_user_value[static_cast<size_t>(qi)] = qv;
+          slot.last_user_value = qv;
           ++metrics.user_notifications;
           if (ins.user_notifications != nullptr) ins.user_notifications->Inc();
           if (trace != nullptr) {
@@ -1872,44 +1847,19 @@ Result<SimMetrics> RunSimulation(
     snap.degraded_query_seconds = metrics.degraded_query_seconds;
     snap.queries.reserve(queries.size());
     for (size_t qi = 0; qi < queries.size(); ++qi) {
-      recovery::CheckpointQuery cq;
-      cq.id = queries[qi].id;
-      cq.qab = queries[qi].qab;
-      cq.poly = recovery::EncodePolynomial(queries[qi].p);
-      cq.alive = q_alive[qi] != 0;
-      cq.reg_tick = q_reg_tick[qi];
-      cq.dereg_tick = q_dereg_tick[qi] == std::numeric_limits<int>::max()
-                          ? -1
-                          : q_dereg_tick[qi];
-      cq.violated_time = st.violated_time[qi];
-      cq.last_user_value = last_user_value[qi];
-      cq.shard = st.query_shard[qi];
-      cq.query_value = view_eval.QueryValue(qi);
-      if (fault_mode) {
-        cq.degraded_items = degraded_items[qi];
-        cq.degrade_event = degrade_event[qi];
-      }
-      snap.queries.push_back(std::move(cq));
+      snap.queries.push_back({queries[qi].id, queries[qi].qab,
+                              recovery::EncodePolynomial(queries[qi].p),
+                              view_eval.QueryValue(qi), st.slots[qi]});
     }
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       for (size_t pi = 0; pi < st.plans[qi].parts.size(); ++pi) {
         const core::PlanPart& part = st.plans[qi].parts[pi];
-        recovery::CheckpointPart cp;
-        cp.slot = static_cast<int>(qi);
-        cp.part = static_cast<int>(pi);
-        cp.poly = recovery::EncodePolynomial(part.subquery.p);
-        cp.pqab = part.subquery.qab;
-        cp.vars.reserve(part.dabs.vars.size());
-        for (VarId v : part.dabs.vars) {
-          cp.vars.push_back(static_cast<int>(v));
-        }
-        cp.primary = recovery::EncodeVector(part.dabs.primary);
-        cp.secondary = recovery::EncodeVector(part.dabs.secondary);
-        cp.recompute_rate = part.dabs.recompute_rate;
-        cp.single_dab = part.dabs.single_dab;
-        cp.never_stale = part.dabs.never_stale;
-        cp.anchor = recovery::EncodeVector(st.anchors[qi][pi]);
-        snap.parts.push_back(std::move(cp));
+        snap.parts.push_back(
+            {static_cast<int>(qi), static_cast<int>(pi),
+             recovery::EncodePolynomial(part.subquery.p), part.subquery.qab,
+             part.dabs.vars, part.dabs.primary, part.dabs.secondary,
+             part.dabs.recompute_rate, part.dabs.single_dab,
+             part.dabs.never_stale, st.anchors[qi][pi]});
       }
     }
     snap.view = st.view;
@@ -1921,50 +1871,9 @@ Result<SimMetrics> RunSimulation(
     snap.item_queries = st.item_queries;
     snap.item_shards = st.item_shards;
     snap.shard_free_at = st.shard_free_at;
-    snap.events.reserve(st.events.c.size());
-    for (const Event& ev : st.events.c) {
-      recovery::CheckpointEvent ce;
-      ce.time = ev.time;
-      ce.type = static_cast<int>(ev.type);
-      ce.item = ev.item;
-      ce.value = ev.value;
-      ce.trace_id = ev.trace_id;
-      ce.wait = ev.wait;
-      ce.seq = ev.seq;
-      snap.events.push_back(ce);
-    }
-    if (fault_mode) {
-      snap.sources.reserve(static_cast<size_t>(num_sources));
-      for (int s = 0; s < num_sources; ++s) {
-        const size_t ss = static_cast<size_t>(s);
-        recovery::CheckpointSource cs;
-        cs.source = s;
-        cs.crashed_until = crashed_until[ss];
-        cs.crash_event = crash_event[ss];
-        cs.next_heartbeat = next_heartbeat[ss];
-        cs.last_contact = last_contact[ss];
-        cs.contact_event = contact_event[ss];
-        snap.sources.push_back(cs);
-      }
-      snap.item_fault.reserve(n_items);
-      for (size_t i = 0; i < n_items; ++i) {
-        recovery::CheckpointItemFault cf;
-        cf.item = static_cast<int>(i);
-        cf.next_seq = next_seq[i];
-        cf.delivered_seq = delivered_seq[i];
-        cf.drop_seq = drop_seq[i];
-        cf.drop_eid = drop_eid[i];
-        cf.expired = item_expired[i] != 0;
-        cf.expire_event = expire_event[i];
-        cf.pending_live = pending[i].live;
-        cf.pending_seq = pending[i].seq;
-        cf.pending_value = pending[i].value;
-        cf.pending_emit_id = pending[i].emit_id;
-        cf.pending_next_retx = pending[i].next_retx;
-        cf.pending_attempts = pending[i].attempts;
-        snap.item_fault.push_back(cf);
-      }
-    }
+    snap.events = st.events.c;
+    snap.sources = sources;
+    snap.item_fault = item_fault;
     if (config.registry != nullptr) {
       for (const obs::MetricRegistry::Entry& en : config.registry->Entries()) {
         recovery::CheckpointInstrument ci;
@@ -1987,16 +1896,8 @@ Result<SimMetrics> RunSimulation(
         snap.instruments.push_back(std::move(ci));
       }
     }
-    {
-      std::ostringstream os;
-      os << delays.rng().engine();
-      snap.delay_rng = os.str();
-    }
-    {
-      std::ostringstream os;
-      os << faults.rng().engine();
-      snap.fault_rng = os.str();
-    }
+    snap.delay_rng = SaveStream(delays.rng());
+    snap.fault_rng = SaveStream(faults.rng());
     if (config.service != nullptr) {
       snap.service_state = config.service->SnapshotState();
     }
@@ -2019,14 +1920,6 @@ Result<SimMetrics> RunSimulation(
       view_eval.RestoreState(st.view, std::move(qvals),
                              ckpt->updates_since_rebase);
     }
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      const recovery::CheckpointQuery& cq = ckpt->queries[qi];
-      last_user_value[qi] = cq.last_user_value;
-      q_alive[qi] = cq.alive ? 1 : 0;
-      q_reg_tick[qi] = cq.reg_tick;
-      q_dereg_tick[qi] =
-          cq.dereg_tick < 0 ? std::numeric_limits<int>::max() : cq.dereg_tick;
-    }
     if (ckpt->dqi_built) {
       // Rebuild the dynamic index by replaying membership: every slot is
       // added in slot order (so dqi slot i == query index i, the
@@ -2035,34 +1928,42 @@ Result<SimMetrics> RunSimulation(
       // index answers identically to the crashed run's.
       ensure_dqi();
       for (size_t qi = 0; qi < queries.size(); ++qi) {
-        if (q_alive[qi] == 0) {
+        if (!st.slots[qi].alive) {
           dqi->RemoveQuery(static_cast<int>(qi));
         }
       }
     }
-    st.events.c.clear();
-    st.events.c.reserve(ckpt->events.size());
-    for (const recovery::CheckpointEvent& ce : ckpt->events) {
-      Event ev{ce.time, static_cast<EventType>(ce.type), ce.item, ce.value,
-               ce.trace_id, ce.wait};
-      ev.seq = ce.seq;
-      st.events.c.push_back(ev);
-    }
-    {
-      std::istringstream in(ckpt->delay_rng);
-      in >> delays.rng().engine();
-      if (in.fail()) {
+    // Every message names an item, except a heartbeat (its source) and
+    // an ack (an item of the fault tables, empty outside fault mode).
+    for (const Event& ev : ckpt->events) {
+      if (ev.type < kRefresh || ev.type > kHeartbeat) {
         return Status::InvalidArgument(
-            "restart: bad delay-RNG stream state in checkpoint");
+            "restart: checkpoint event kind " + std::to_string(ev.type) +
+            " out of range");
+      }
+      const size_t bound = ev.type == kHeartbeat   ? sources.size()
+                           : ev.type == kAckArrive ? item_fault.size()
+                                                   : n_items;
+      if (ev.item < 0 || static_cast<size_t>(ev.item) >= bound) {
+        return Status::InvalidArgument(
+            "restart: checkpoint event of kind " + std::to_string(ev.type) +
+            " names item/source " + std::to_string(ev.item) +
+            " out of range");
       }
     }
-    {
-      std::istringstream in(ckpt->fault_rng);
-      in >> faults.rng().engine();
-      if (in.fail()) {
-        return Status::InvalidArgument(
-            "restart: bad fault-RNG stream state in checkpoint");
-      }
+    if (!std::is_heap(ckpt->events.begin(), ckpt->events.end(),
+                      EventQueue::Later{})) {
+      return Status::InvalidArgument(
+          "restart: checkpoint event array is not heap-ordered");
+    }
+    st.events.c = ckpt->events;
+    if (!LoadStream(ckpt->delay_rng, &delays.rng())) {
+      return Status::InvalidArgument(
+          "restart: bad delay-RNG stream state in checkpoint");
+    }
+    if (!LoadStream(ckpt->fault_rng, &faults.rng())) {
+      return Status::InvalidArgument(
+          "restart: bad fault-RNG stream state in checkpoint");
     }
     if (config.registry != nullptr) {
       for (const recovery::CheckpointInstrument& ci : ckpt->instruments) {
@@ -2222,11 +2123,11 @@ Result<SimMetrics> RunSimulation(
           e.flag = tick;
           xid = trace->Emit(e);
         }
-        if (wal_file != nullptr) {
-          recovery::AppendWalCrash(wal_file.get(), tick, xid,
-                                   last_ckpt_end_id);
-          std::fflush(wal_file.get());
-        }
+        append_wal({.kind = WalKind::kCrash,
+                    .tick = tick,
+                    .event_id = xid,
+                    .cause = last_ckpt_end_id});
+        if (wal_file != nullptr) std::fflush(wal_file.get());
         rec->crashed = true;
         rec->crash_event_id = xid;
         if (threaded) {
@@ -2241,7 +2142,9 @@ Result<SimMetrics> RunSimulation(
         if (!*more) break;
       }
       if (wal_file != nullptr) {
-        recovery::AppendWalRow(wal_file.get(), tick, row);
+        recovery::AppendWal(wal_file.get(), {.kind = WalKind::kRow,
+                                             .tick = tick,
+                                             .values = row});
       }
     }
     ++ticks_seen;
@@ -2343,7 +2246,7 @@ Result<SimMetrics> RunSimulation(
             e.node = tnode;
             e.query = queries[qi].id;
             e.part = 0;
-            if (sharded) e.shard = st.query_shard[qi];
+            if (sharded) e.shard = st.slots[qi].shard;
             e.cause = aao_id;
             const uint64_t start_id = trace->Emit(e);
             e.kind = obs::TraceEventKind::kRecomputeEnd;
@@ -2369,10 +2272,10 @@ Result<SimMetrics> RunSimulation(
     if (fault_mode && config.fault.crash_prob > 0.0) {
       for (int s = 0; s < num_sources; ++s) {
         const size_t ss = static_cast<size_t>(s);
-        if (crashed_until[ss] > now) continue;  // already down
+        if (sources[ss].crashed_until > now) continue;  // already down
         if (!faults.CrashNow()) continue;
         const double dur = faults.CrashDuration();
-        crashed_until[ss] = now + dur;
+        sources[ss].crashed_until = now + dur;
         if (trace != nullptr) {
           trace->SetNow(now);
           obs::TraceEvent e;
@@ -2381,7 +2284,7 @@ Result<SimMetrics> RunSimulation(
           e.node = tnode;
           e.source = s;
           e.a = dur;
-          crash_event[ss] = trace->Emit(e);
+          sources[ss].crash_event = trace->Emit(e);
         }
       }
     }
@@ -2394,10 +2297,11 @@ Result<SimMetrics> RunSimulation(
         if (fault_mode) {
           // A crashed source neither pushes nor records the value as
           // pushed: the drift persists, so recovery pushes immediately.
-          if (crashed_until[item % static_cast<size_t>(num_sources)] > now) {
+          if (sources[item % static_cast<size_t>(num_sources)].crashed_until >
+              now) {
             continue;
           }
-          seq = next_seq[item]++;
+          seq = item_fault[item].next_seq++;
         }
         uint64_t emit_id = 0;
         if (trace != nullptr) {
@@ -2417,9 +2321,12 @@ Result<SimMetrics> RunSimulation(
         if (fault_mode) {
           // Register the retransmit obligation before the send: the
           // source cannot know the copy will be lost.
-          pending[item] =
-              PendingRefresh{seq, st.source_value[item], emit_id,
-                             now + config.fault.retx_timeout_s, 0, true};
+          item_fault[item].pending = {
+              .live = true,
+              .seq = seq,
+              .value = st.source_value[item],
+              .emit_id = emit_id,
+              .next_retx = now + config.fault.retx_timeout_s};
           send_data(item, st.source_value[item], seq, emit_id,
                     /*klass=*/0, now);
         } else {
@@ -2436,10 +2343,10 @@ Result<SimMetrics> RunSimulation(
     //     backoff, gap capped at 8x) and per-source heartbeats.
     if (fault_mode) {
       for (size_t item = 0; item < n_items; ++item) {
-        PendingRefresh& p = pending[item];
+        recovery::ItemFaultState::Pending& p = item_fault[item].pending;
         if (!p.live || now < p.next_retx) continue;
         const size_t src = item % static_cast<size_t>(num_sources);
-        if (crashed_until[src] > now) continue;  // source down
+        if (sources[src].crashed_until > now) continue;  // source down
         ++p.attempts;
         ++metrics.retransmits;
         if (ins.retransmits != nullptr) ins.retransmits->Inc();
@@ -2468,11 +2375,11 @@ Result<SimMetrics> RunSimulation(
         const size_t ss = static_cast<size_t>(s);
         // The heartbeat timer freezes during a crash (no advance), so a
         // recovering source announces itself on its first live tick.
-        if (source_items[ss].empty() || crashed_until[ss] > now ||
-            now < next_heartbeat[ss]) {
+        if (source_items[ss].empty() || sources[ss].crashed_until > now ||
+            now < sources[ss].next_heartbeat) {
           continue;
         }
-        next_heartbeat[ss] = now + config.fault.heartbeat_s;
+        sources[ss].next_heartbeat = now + config.fault.heartbeat_s;
         if (faults.DropMessage()) {
           ++metrics.fault_drops;
           if (ins.fault_drops != nullptr) ins.fault_drops->Inc();
@@ -2508,7 +2415,7 @@ Result<SimMetrics> RunSimulation(
     //     item, or as unboundable otherwise (core::WideningFor).
     if (fault_mode) {
       for (size_t item = 0; item < n_items; ++item) {
-        if (st.item_queries[item].empty() || item_expired[item] != 0) {
+        if (st.item_queries[item].empty() || item_fault[item].expired) {
           continue;
         }
         const size_t src = item % static_cast<size_t>(num_sources);
@@ -2520,8 +2427,8 @@ Result<SimMetrics> RunSimulation(
         const double deadline =
             config.fault.lease_s +
             std::min(drift_time, 3.0 * config.fault.lease_s);
-        if (now - last_contact[src] <= deadline) continue;
-        item_expired[item] = 1;
+        if (now - sources[src].last_contact <= deadline) continue;
+        item_fault[item].expired = true;
         ++metrics.lease_expiries;
         if (ins.lease_expiries != nullptr) ins.lease_expiries->Inc();
         uint64_t xid = 0;
@@ -2533,14 +2440,14 @@ Result<SimMetrics> RunSimulation(
           e.node = tnode;
           e.source = static_cast<int32_t>(src);
           e.item = static_cast<int32_t>(item);
-          e.a = last_contact[src];
+          e.a = sources[src].last_contact;
           e.b = deadline;
           xid = trace->Emit(e);
         }
-        expire_event[item] = xid;
+        item_fault[item].expire_event = xid;
         for (int qi : st.item_queries[item]) {
           const size_t q = static_cast<size_t>(qi);
-          if (degraded_items[q]++ != 0) continue;  // already degraded
+          if (st.slots[q].degraded_items++ != 0) continue;  // already degraded
           uint64_t did = 0;
           if (trace != nullptr) {
             const core::StalenessWidening w = core::WideningFor(
@@ -2557,7 +2464,7 @@ Result<SimMetrics> RunSimulation(
             e.flag = w.boundable ? 1 : 0;
             did = trace->Emit(e);
           }
-          degrade_event[q] = did;
+          st.slots[q].degrade_event = did;
         }
       }
     }
@@ -2568,10 +2475,10 @@ Result<SimMetrics> RunSimulation(
       for (size_t qi = 0; qi < queries.size(); ++qi) {
         // Deregistered queries owe no fidelity (their slots persist only
         // for index stability).
-        if (q_alive[qi] == 0) continue;
+        recovery::QuerySlot& slot = st.slots[qi];
+        if (!slot.alive) continue;
         ++sampled;
-        const bool degraded =
-            fault_mode && degraded_items[qi] > 0;
+        const bool degraded = fault_mode && slot.degraded_items > 0;
         if (degraded) {
           metrics.degraded_query_seconds +=
               static_cast<double>(config.fidelity_stride);
@@ -2583,7 +2490,7 @@ Result<SimMetrics> RunSimulation(
         const double at_coord = view_eval.QueryValue(qi);
         if (std::fabs(at_source - at_coord) >
             queries[qi].qab * (1.0 + config.violation_tol)) {
-          st.violated_time[qi] += config.fidelity_stride;
+          slot.violated_time += config.fidelity_stride;
           if (trace != nullptr) {
             obs::TraceEvent e;
             e.time = now;
@@ -2597,7 +2504,7 @@ Result<SimMetrics> RunSimulation(
               // flag 1: the query is in declared-degraded service; the
               // violation is covered by the degradation announcement.
               e.flag = 1;
-              e.cause = degrade_event[qi];
+              e.cause = slot.degrade_event;
             } else if (fault_mode) {
               // flag 2: a concrete fault explains the stale view. The
               // deterministic blame scan (first item in Variables()
@@ -2608,14 +2515,15 @@ Result<SimMetrics> RunSimulation(
               for (VarId v : queries[qi].p.Variables()) {
                 const size_t it = static_cast<size_t>(v);
                 const size_t s = it % static_cast<size_t>(num_sources);
-                if (crashed_until[s] > now) {
+                if (sources[s].crashed_until > now) {
                   e.flag = 2;
-                  e.cause = crash_event[s];
+                  e.cause = sources[s].crash_event;
                   break;
                 }
-                if (drop_seq[it] > delivered_seq[it]) {
+                const recovery::ItemFaultState& f = item_fault[it];
+                if (f.drop_seq > f.delivered_seq) {
                   e.flag = 2;
-                  e.cause = drop_eid[it];
+                  e.cause = f.drop_eid;
                   break;
                 }
               }
@@ -2705,11 +2613,14 @@ Result<SimMetrics> RunSimulation(
   // contains no sampled tick contributes zero loss.
   double loss_sum = 0.0;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    const int first = std::max(q_reg_tick[qi], 1);
-    const int last = std::min(q_dereg_tick[qi] - 1, ticks_seen - 1);
+    const recovery::QuerySlot& slot = st.slots[qi];
+    const int first = std::max(slot.reg_tick, 1);
+    const int last = slot.dereg_tick < 0
+                         ? ticks_seen - 1
+                         : std::min(slot.dereg_tick - 1, ticks_seen - 1);
     const int denom = last - first + 1;
     if (denom <= 0) continue;
-    loss_sum += 100.0 * st.violated_time[qi] / static_cast<double>(denom);
+    loss_sum += 100.0 * slot.violated_time / static_cast<double>(denom);
   }
   metrics.mean_fidelity_loss_pct =
       loss_sum / static_cast<double>(queries.size());

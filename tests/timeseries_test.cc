@@ -214,6 +214,15 @@ TEST(SeriesJsonTest, RoundTripIsExact) {
   EXPECT_EQ(SeriesToJsonLines(*parsed), text);
 }
 
+TEST(SeriesJsonTest, LoadingADirectoryIsAReadError) {
+  // A directory opens but does not read: the loader must say so rather
+  // than parse the nothing it got as an empty series.
+  Result<SeriesFile> loaded = LoadSeriesFile(::testing::TempDir());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().ToString().find("read error"), std::string::npos)
+      << loaded.status().ToString();
+}
+
 TEST(SeriesJsonTest, ParserRejectsCorruption) {
   const std::string text = SeriesToJsonLines(MakeSampleSeries());
   // Truncated final line (a partial write must not parse).
