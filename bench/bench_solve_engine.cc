@@ -6,8 +6,12 @@
 // produce bitwise-identical GPs for the memo to collapse. Every
 // deterministic protocol counter must be identical across the whole
 // sweep (byte-identity is the engine's core contract — the bench
-// hard-fails otherwise), so the only columns allowed to move are the
-// wall-clock ones and the engine's own hit/miss telemetry. Mirrors the
+// hard-fails otherwise), and so must the solver's work counters
+// (Newton iterations, line-search backtracks, phase-I solves: the engine
+// replays them on cache hits), so the only columns allowed to move are the
+// wall-clock ones and the engine's own hit/miss telemetry. The work
+// counters also pin the single-DAB warm-start repair: a repair that
+// stops keeping warm starts feasible moves phase1_solves. Mirrors the
 // table into BENCH_solve_engine.json; the ctest gate
 // (bench_solve_engine_gate) re-runs the quick scale and diffs it against
 // the committed baseline with bench_compare, which tolerates only the
@@ -51,6 +55,9 @@ struct Row {
   int64_t notifications;
   int64_t solver_failures;
   double loss_pct;
+  int64_t newton_iterations;
+  int64_t line_search_backtracks;
+  int64_t phase1_solves;
   int64_t cache_hits;
   int64_t cache_misses;
   double wall_seconds;
@@ -123,6 +130,10 @@ int Run() {
           Row{k.label, k.cache, m.refreshes, m.recomputations,
               m.dab_change_messages, m.user_notifications,
               m.solver_failures, m.mean_fidelity_loss_pct,
+              static_cast<int64_t>(
+                  reg.GetHistogram("gp.solver.newton_iterations")->sum()),
+              reg.GetCounter("gp.solver.line_search_backtracks")->value(),
+              reg.GetCounter("gp.solver.phase1_solves")->value(),
               reg.GetCounter("gp.engine.cache_hits")->value(),
               reg.GetCounter("gp.engine.cache_misses")->value(),
               timer.registry()->GetHistogram(section)->min()});
@@ -139,19 +150,25 @@ int Run() {
         r.dab_changes != oracle.dab_changes ||
         r.notifications != oracle.notifications ||
         r.solver_failures != oracle.solver_failures ||
-        r.loss_pct != oracle.loss_pct) {
+        r.loss_pct != oracle.loss_pct ||
+        r.newton_iterations != oracle.newton_iterations ||
+        r.line_search_backtracks != oracle.line_search_backtracks ||
+        r.phase1_solves != oracle.phase1_solves) {
       std::fprintf(stderr,
                    "%s diverged from the engine-off oracle "
-                   "(e.g. recomputations %lld vs %lld)\n",
+                   "(e.g. recomputations %lld vs %lld, newton iterations "
+                   "%lld vs %lld)\n",
                    r.config.c_str(),
                    static_cast<long long>(r.recomputations),
-                   static_cast<long long>(oracle.recomputations));
+                   static_cast<long long>(oracle.recomputations),
+                   static_cast<long long>(r.newton_iterations),
+                   static_cast<long long>(oracle.newton_iterations));
       return 1;
     }
   }
 
-  Table t({"config", "cache", "recomps", "hits", "misses", "wall_s",
-           "recomps/s", "speedup"});
+  Table t({"config", "cache", "recomps", "newton", "backtracks", "phase1",
+           "hits", "misses", "wall_s", "recomps/s", "speedup"});
   const double oracle_wall = rows.front().wall_seconds;
   for (const Row& r : rows) {
     const double rps =
@@ -159,7 +176,9 @@ int Run() {
             ? static_cast<double>(r.recomputations) / r.wall_seconds
             : 0.0;
     t.AddRow({r.config, Fmt(static_cast<int64_t>(r.solve_cache)),
-              Fmt(r.recomputations), Fmt(r.cache_hits),
+              Fmt(r.recomputations), Fmt(r.newton_iterations),
+              Fmt(r.line_search_backtracks), Fmt(r.phase1_solves),
+              Fmt(r.cache_hits),
               Fmt(r.cache_misses), Fmt(r.wall_seconds, 3), Fmt(rps, 1),
               Fmt(r.wall_seconds > 0.0 ? oracle_wall / r.wall_seconds : 0.0,
                   2)});
@@ -189,6 +208,8 @@ int Run() {
         "\"refreshes\": %lld, \"recomputations\": %lld, "
         "\"dab_changes\": %lld, \"user_notifications\": %lld, "
         "\"solver_failures\": %lld, \"mean_fidelity_loss_pct\": %.17g, "
+        "\"newton_iterations\": %lld, \"line_search_backtracks\": %lld, "
+        "\"phase1_solves\": %lld, "
         "\"cache_hits\": %lld, \"cache_misses\": %lld, "
         "\"wall_seconds\": %.6f, \"recomputes_per_s\": %.1f}%s\n",
         r.config.c_str(), r.solve_cache,
@@ -197,6 +218,9 @@ int Run() {
         static_cast<long long>(r.dab_changes),
         static_cast<long long>(r.notifications),
         static_cast<long long>(r.solver_failures), r.loss_pct,
+        static_cast<long long>(r.newton_iterations),
+        static_cast<long long>(r.line_search_backtracks),
+        static_cast<long long>(r.phase1_solves),
         static_cast<long long>(r.cache_hits),
         static_cast<long long>(r.cache_misses), r.wall_seconds, rps,
         i + 1 < rows.size() ? "," : "");

@@ -1,8 +1,10 @@
 #include "core/condition.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
+#include "gp/gp_solver.h"
 
 namespace polydab::core {
 
@@ -125,6 +127,39 @@ Status CheckConditionInputs(const Polynomial& p, const Vector& values,
     }
   }
   return Status::OK();
+}
+
+bool RepairWarmStart(const gp::Posynomial& cond, const GpVarMap& map,
+                     DataDynamicsModel ddm, const Vector& rates, Vector* x) {
+  const size_t k = map.vars.size();
+  const double inside = std::exp(-gp::kInteriorMargin);
+  Vector y = *x;
+  if (map.has_secondary) {
+    for (size_t i = 0; i < k; ++i) {
+      y[i] = std::min(y[i], y[k + i] * inside);
+    }
+  }
+  const double g = cond.Evaluate(y);
+  if (!std::isfinite(g)) return false;
+  if (g > inside) {
+    const double s = inside / g;
+    for (size_t j = 0; j < static_cast<size_t>(map.NumVars()); ++j) {
+      y[j] *= s;
+    }
+  }
+  if (map.has_secondary) {
+    double& r = y[2 * k];
+    for (size_t i = 0; i < k; ++i) {
+      r = std::max(r, MessageRate(ddm, rates[static_cast<size_t>(map.vars[i])],
+                                  y[k + i]) /
+                          inside);
+    }
+  }
+  for (double v : y) {
+    if (!(v > 0.0) || !std::isfinite(v)) return false;
+  }
+  *x = std::move(y);
+  return true;
 }
 
 Result<gp::Posynomial> SingleDabCondition(const Polynomial& p,

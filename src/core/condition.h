@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/ddm.h"
 #include "core/query.h"
 #include "gp/posynomial.h"
 
@@ -59,6 +60,23 @@ Result<gp::Posynomial> SingleDabCondition(const Polynomial& p,
 Result<gp::Posynomial> DualDabCondition(const Polynomial& p,
                                         const Vector& values, double qab,
                                         const GpVarMap& map);
+
+/// \brief Warm-start repair (docs/SOLVER.md): pull a previous plan \p x,
+/// packed per \p map (b, then c and R = x[map.NumVars()] when
+/// map.has_secondary), strictly inside the program whose validity
+/// condition is \p cond, so the solve skips phase I. Every constraint ends
+/// up cleared by δ = gp::kInteriorMargin in log space:
+///   1. Dual-DAB: clamp b_i <= c_i·e^{-δ}.
+///   2. If g = cond(x) > e^{-δ}, scale b (and c) by s = e^{-δ}/g. Every
+///      term of cond has b-degree >= 1 and no negative exponent, so for
+///      s <= 1 the condition drops to at most s·g = e^{-δ}; b/c is kept.
+///   3. Dual-DAB: raise R until every rate(λ_i, c_i)/R <= e^{-δ}, with
+///      λ from \p rates (dense, by VarId) under \p ddm.
+/// Returns false and leaves \p x untouched when g is not finite or the
+/// repaired point would not be finite and positive; phase I then stays
+/// the fallback.
+bool RepairWarmStart(const gp::Posynomial& cond, const GpVarMap& map,
+                     DataDynamicsModel ddm, const Vector& rates, Vector* x);
 
 /// Validate that \p p is usable by the condition builders (positive
 /// coefficients, values positive on its variables, positive qab).

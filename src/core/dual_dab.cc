@@ -9,7 +9,7 @@ namespace {
 struct DualDabProgram {
   gp::GpProblem gp;
   GpVarMap map;
-  Vector warm_x;          ///< packed (b, c, R) warm point
+  Vector warm_x;          ///< packed (b, c, R) warm point, repaired
   bool has_warm = false;  ///< warm point accepted (vars match, R > 0)
 };
 
@@ -78,6 +78,8 @@ Result<DualDabProgram> BuildDualDabProgram(const PolynomialQuery& query,
                        warm->secondary.end());
     prog.warm_x.push_back(warm->recompute_rate);
     prog.has_warm = true;
+    RepairWarmStart(gp_problem.constraints.front(), map, params.ddm, rates,
+                    &prog.warm_x);
   }
   return prog;
 }

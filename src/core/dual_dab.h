@@ -35,8 +35,11 @@ struct DualDabParams {
 /// \brief Compute the Dual-DAB assignment for PPQ \p query at the current
 /// \p values with per-item rate estimates \p rates (dense, by VarId).
 ///
-/// Warm-starting with the previous assignment of the same query (from
-/// before the secondary violation) typically cuts solver work severalfold.
+/// \p warm, the previous assignment of the same query (from before the
+/// secondary violation), usually violates the new validity condition: a
+/// value left its secondary range. RepairWarmStart (core/condition.h)
+/// pulls it back inside in closed form, so the re-solve starts warm and
+/// skips phase I.
 Result<QueryDabs> SolveDualDab(const PolynomialQuery& query,
                                const Vector& values, const Vector& rates,
                                const DualDabParams& params = DualDabParams(),

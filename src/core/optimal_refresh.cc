@@ -9,7 +9,7 @@ namespace {
 struct OptimalRefreshProgram {
   gp::GpProblem gp;
   GpVarMap map;
-  Vector warm_x;          ///< previous primary DABs
+  Vector warm_x;          ///< previous primary DABs, repaired
   bool has_warm = false;  ///< warm point accepted (vars match)
   DataDynamicsModel ddm = DataDynamicsModel::kMonotonic;
 };
@@ -41,6 +41,8 @@ Result<OptimalRefreshProgram> BuildOptimalRefreshProgram(
   if (warm != nullptr && warm->vars == map.vars) {
     prog.warm_x = warm->primary;
     prog.has_warm = true;
+    RepairWarmStart(gp_problem.constraints.front(), map, ddm, rates,
+                    &prog.warm_x);
   }
   return prog;
 }

@@ -342,7 +342,7 @@ Result<Vector> PhaseOne(const ConvexGp& cg, const SolverOptions& opt,
           }
           val -= std::log(gap);
         }
-        if (feas && max_f < -1e-3) return ws->y_try;  // strictly feasible
+        if (feas && max_f < -kInteriorMargin) return ws->y_try;  // interior
         if (feas && val <= val0 - 0.25 * alpha * lambda2) break;
         alpha *= 0.5;
         ++stats->line_search_backtracks;
@@ -352,7 +352,7 @@ Result<Vector> PhaseOne(const ConvexGp& cg, const SolverOptions& opt,
       for (size_t j = 0; j < n; ++j) y[j] += alpha * d[j];
       s += alpha * d[n];
       ++stats->newton_iterations;
-      if (s < -1e-3) return y;  // strictly feasible, done early
+      if (s < -kInteriorMargin) return y;  // interior, done early
     }
     if (s < -1e-6) return y;
     if (m / t < opt.duality_tol) break;

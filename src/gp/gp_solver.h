@@ -22,6 +22,12 @@ namespace polydab::gp {
 
 class SolveEngine;
 
+/// Log-space margin δ by which a point must clear every constraint
+/// (Fi(y) <= -δ, i.e. fi(v) <= e^{-δ}) to count as comfortably interior:
+/// phase I stops as soon as it reaches one, and the planners' warm-start
+/// repair (core/condition.h, RepairWarmStart) aims at it.
+inline constexpr double kInteriorMargin = 1e-3;
+
 /// Tunables for the barrier method. Defaults solve every program in this
 /// codebase to ~1e-7 relative accuracy in well under a millisecond per
 /// hundred variables.
@@ -61,10 +67,13 @@ struct GpSolution {
 ///
 /// \param problem   GP in standard form; every constraint is fi(v) <= 1.
 /// \param options   barrier tunables.
-/// \param warm_start optional strictly positive starting point (need not be
-///        feasible; phase I will repair it). Passing the previous solution
-///        of a slightly perturbed program typically saves most of the work,
-///        which is how the coordinator amortizes DAB recomputations.
+/// \param warm_start optional strictly positive starting point. A point
+///        that clears every constraint starts the barrier near its final
+///        weight; any other point first goes through phase I and then the
+///        full barrier schedule from `t0`. The planners therefore repair
+///        the previous plan into the new feasible set first
+///        (core::RepairWarmStart), which is how the coordinator amortizes
+///        DAB recomputations.
 Result<GpSolution> SolveGp(const GpProblem& problem,
                            const SolverOptions& options = SolverOptions(),
                            const Vector* warm_start = nullptr);

@@ -124,6 +124,14 @@ Histogram* MetricRegistry::GetHistogram(const std::string& name) {
   return slot.histogram.get();
 }
 
+std::optional<InstrumentKind> MetricRegistry::KindOf(
+    const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = slots_.find(name);
+  if (it == slots_.end()) return std::nullopt;
+  return it->second.kind;
+}
+
 std::vector<MetricRegistry::Entry> MetricRegistry::Entries() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<Entry> out;

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -142,6 +143,11 @@ class MetricRegistry {
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
+
+  /// Kind of the instrument named \p name, or nullopt when there is none.
+  /// Lets a caller holding untrusted names (a checkpoint restore) refuse a
+  /// kind clash instead of aborting in Get*.
+  std::optional<InstrumentKind> KindOf(const std::string& name) const;
 
   /// One exported instrument, used by RunReport.
   struct Entry {

@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <queue>
 #include <sstream>
@@ -1966,6 +1968,31 @@ Result<SimMetrics> RunSimulation(
           "restart: bad fault-RNG stream state in checkpoint");
     }
     if (config.registry != nullptr) {
+      // Refuse kind clashes before touching the registry: Get* aborts on
+      // a name that already has another kind.
+      std::map<std::string, char> kinds;
+      for (const recovery::CheckpointInstrument& ci : ckpt->instruments) {
+        const auto [it, fresh] = kinds.emplace(ci.name, ci.kind);
+        if (!fresh && it->second != ci.kind) {
+          return Status::InvalidArgument(
+              "restart: checkpoint instrument '" + ci.name +
+              "' appears twice with different kinds");
+        }
+      }
+      for (const auto& [name, kind] : kinds) {
+        const std::optional<obs::InstrumentKind> have =
+            config.registry->KindOf(name);
+        const obs::InstrumentKind want =
+            kind == 'c'   ? obs::InstrumentKind::kCounter
+            : kind == 'g' ? obs::InstrumentKind::kGauge
+                          : obs::InstrumentKind::kHistogram;
+        if (have.has_value() && *have != want) {
+          return Status::InvalidArgument(
+              "restart: checkpoint instrument '" + name + "' of kind '" +
+              std::string(1, kind) +
+              "' clashes with the registry's instrument of another kind");
+        }
+      }
       for (const recovery::CheckpointInstrument& ci : ckpt->instruments) {
         if (ci.kind == 'c') {
           obs::Counter* c = config.registry->GetCounter(ci.name);

@@ -1,10 +1,12 @@
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "core/dual_dab.h"
 #include "core/optimal_refresh.h"
+#include "obs/metrics.h"
 
 namespace polydab::core {
 namespace {
@@ -269,6 +271,150 @@ INSTANTIATE_TEST_SUITE_P(
                       DualCase{4, 5}, DualCase{5, 10}, DualCase{6, 10},
                       DualCase{7, 20}, DualCase{8, 2}, DualCase{9, 50},
                       DualCase{10, 5}));
+
+// Warm-start repair (RepairWarmStart, docs/SOLVER.md): a replan fires
+// because values left their secondary ranges, so the previous plan is
+// usually infeasible for the new program. The repair must put it a
+// margin inside every constraint in closed form, the solve must then
+// skip phase I and reach the cold optimum, and a point the repair cannot
+// evaluate must reach the solver unchanged.
+struct RepairCase {
+  uint64_t seed;
+  DataDynamicsModel ddm;
+};
+
+void PrintTo(const RepairCase& c, std::ostream* os) {
+  *os << "seed " << c.seed
+      << (c.ddm == DataDynamicsModel::kMonotonic ? " monotonic"
+                                                 : " random-walk");
+}
+
+class DualDabRepairProperty : public ::testing::TestWithParam<RepairCase> {};
+
+/// The Dual-DAB GP objective at \p d: Σ rate(λ_i, b_i) + μ·R plus the
+/// 1e-6·c_i/V_i regularizer.
+double DualObjective(const QueryDabs& d, const Vector& values,
+                     const Vector& rates, const DualDabParams& params) {
+  double f = params.mu * d.recompute_rate;
+  for (size_t i = 0; i < d.vars.size(); ++i) {
+    const size_t v = static_cast<size_t>(d.vars[i]);
+    f += MessageRate(params.ddm, rates[v], d.primary[i]) +
+         1e-6 * d.secondary[i] / values[v];
+  }
+  return f;
+}
+
+TEST_P(DualDabRepairProperty, RepairedWarmStartSkipsPhaseOne) {
+  const auto [seed, ddm] = GetParam();
+  Rng rng(seed);
+  VariableRegistry reg;
+  const int n = 2 + static_cast<int>(rng.UniformInt(0, 5));
+  std::vector<VarId> ids;
+  for (int i = 0; i < n; ++i) ids.push_back(reg.Intern("v" + std::to_string(i)));
+  // Products of up to degree 4 (the first term always one, so b·b terms
+  // exist), plus an occasional linear term.
+  std::vector<Monomial> terms;
+  const int t = 1 + static_cast<int>(rng.UniformInt(0, 3));
+  for (int j = 0; j < t; ++j) {
+    VarId a = ids[static_cast<size_t>(rng.UniformInt(0, n - 1))];
+    VarId b = ids[static_cast<size_t>(rng.UniformInt(0, n - 1))];
+    terms.emplace_back(
+        rng.Uniform(1.0, 100.0),
+        std::vector<std::pair<VarId, int>>{
+            {a, static_cast<int>(rng.UniformInt(1, 2))},
+            {b, static_cast<int>(rng.UniformInt(1, 2))}});
+    if (j > 0 && rng.Uniform(0.0, 1.0) < 0.3) {
+      terms.emplace_back(rng.Uniform(1.0, 100.0),
+                         std::vector<std::pair<VarId, int>>{{a, 1}});
+    }
+  }
+  PolynomialQuery q{0, Polynomial(std::move(terms)), 0.0};
+  Vector values(reg.size()), rates(reg.size());
+  for (size_t i = 0; i < reg.size(); ++i) {
+    values[i] = rng.Uniform(5.0, 100.0);
+    rates[i] = rng.Uniform(0.05, 2.0);
+  }
+  q.qab = 0.01 * q.p.Evaluate(values);
+  DualDabParams params;
+  params.mu = rng.Uniform(1.0, 20.0);
+  params.ddm = ddm;
+  auto prev = SolveDualDab(q, values, rates, params);
+  ASSERT_TRUE(prev.ok()) << prev.status().ToString();
+  const GpVarMap map{prev->vars, /*has_secondary=*/true};
+  const size_t k = prev->vars.size();
+  Vector packed = prev->primary;
+  packed.insert(packed.end(), prev->secondary.begin(), prev->secondary.end());
+  packed.push_back(prev->recompute_rate);
+
+  // direction +1: every item past the top of its secondary range; -1:
+  // past the bottom (where that keeps the value positive); 0: mixed.
+  for (int direction : {+1, -1, 0}) {
+    SCOPED_TRACE("direction " + std::to_string(direction));
+    Vector moved = values;
+    for (size_t i = 0; i < k; ++i) {
+      const size_t v = static_cast<size_t>(prev->vars[i]);
+      const double step = prev->secondary[i] * rng.Uniform(1.05, 2.0);
+      const bool down =
+          (direction < 0 || (direction == 0 && rng.Uniform(0.0, 1.0) < 0.5)) &&
+          values[v] - step > 0.1 * values[v];
+      moved[v] = down ? values[v] - step : values[v] + step;
+    }
+
+    // 1. The repaired point clears every constraint by >= δ/2 (log space).
+    auto cond = DualDabCondition(q.p, moved, q.qab, map);
+    ASSERT_TRUE(cond.ok());
+    Vector x = packed;
+    ASSERT_TRUE(RepairWarmStart(*cond, map, ddm, rates, &x));
+    const double margin = -gp::kInteriorMargin / 2.0;
+    EXPECT_LE(std::log(cond->Evaluate(x)), margin);
+    for (size_t i = 0; i < k; ++i) {
+      EXPECT_LE(std::log(x[i] / x[k + i]), margin) << "b/c, item " << i;
+      const double rate = MessageRate(
+          ddm, rates[static_cast<size_t>(prev->vars[i])], x[k + i]);
+      EXPECT_LE(std::log(rate / x[2 * k]), margin) << "rate/R, item " << i;
+    }
+
+    // 2. The warm solve takes no phase I.
+    obs::MetricRegistry registry;
+    DualDabParams traced = params;
+    traced.solver.registry = &registry;
+    auto warm = SolveDualDab(q, moved, rates, traced, &*prev);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    EXPECT_EQ(registry.GetCounter("gp.solver.phase1_solves")->value(), 0);
+    EXPECT_EQ(registry.GetCounter("gp.solver.warm_start_feasible")->value(), 1);
+
+    // 3. It reaches the cold optimum.
+    auto cold = SolveDualDab(q, moved, rates, params);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    const double f_cold = DualObjective(*cold, moved, rates, params);
+    EXPECT_NEAR(DualObjective(*warm, moved, rates, params), f_cold,
+                1e-6 * f_cold);
+  }
+
+  // 4. A point whose condition overflows is left untouched: phase I
+  // stays the fallback.
+  auto cond = DualDabCondition(q.p, values, q.qab, map);
+  ASSERT_TRUE(cond.ok());
+  Vector x(2 * k, 1e300);
+  x.push_back(prev->recompute_rate);
+  const Vector before = x;
+  EXPECT_FALSE(std::isfinite(cond->Evaluate(x)));
+  EXPECT_FALSE(RepairWarmStart(*cond, map, ddm, rates, &x));
+  EXPECT_EQ(x, before);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndModels, DualDabRepairProperty,
+    ::testing::Values(RepairCase{1, DataDynamicsModel::kMonotonic},
+                      RepairCase{2, DataDynamicsModel::kMonotonic},
+                      RepairCase{3, DataDynamicsModel::kMonotonic},
+                      RepairCase{4, DataDynamicsModel::kMonotonic},
+                      RepairCase{5, DataDynamicsModel::kMonotonic},
+                      RepairCase{6, DataDynamicsModel::kRandomWalk},
+                      RepairCase{7, DataDynamicsModel::kRandomWalk},
+                      RepairCase{8, DataDynamicsModel::kRandomWalk},
+                      RepairCase{9, DataDynamicsModel::kRandomWalk},
+                      RepairCase{10, DataDynamicsModel::kRandomWalk}));
 
 }  // namespace
 }  // namespace polydab::core

@@ -1,9 +1,11 @@
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "core/optimal_refresh.h"
+#include "obs/metrics.h"
 
 namespace polydab::core {
 namespace {
@@ -162,6 +164,123 @@ TEST_P(OptimalRefreshProperty, FeasibleAndTight) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OptimalRefreshProperty,
                          ::testing::Range<uint64_t>(1, 13));
+
+// Warm-start repair (RepairWarmStart, docs/SOLVER.md) for the single-DAB
+// program: every refresh leaves the validity range [V - b, V + b], so the
+// previous plan must be scaled back inside in closed form, after which
+// the solve skips phase I and reaches the cold optimum; a point the
+// repair cannot evaluate reaches the solver untouched.
+struct RepairCase {
+  uint64_t seed;
+  DataDynamicsModel ddm;
+};
+
+void PrintTo(const RepairCase& c, std::ostream* os) {
+  *os << "seed " << c.seed
+      << (c.ddm == DataDynamicsModel::kMonotonic ? " monotonic"
+                                                 : " random-walk");
+}
+
+class OptimalRefreshRepairProperty
+    : public ::testing::TestWithParam<RepairCase> {};
+
+TEST_P(OptimalRefreshRepairProperty, RepairedWarmStartSkipsPhaseOne) {
+  const auto [seed, ddm] = GetParam();
+  Rng rng(seed);
+  VariableRegistry reg;
+  const int n = 2 + static_cast<int>(rng.UniformInt(0, 4));
+  std::vector<VarId> ids;
+  for (int i = 0; i < n; ++i) ids.push_back(reg.Intern("v" + std::to_string(i)));
+  // Products of up to degree 4 (the first term always one, so b·b terms
+  // exist), plus an occasional linear term.
+  std::vector<Monomial> terms;
+  const int t = 1 + static_cast<int>(rng.UniformInt(0, 3));
+  for (int j = 0; j < t; ++j) {
+    VarId a = ids[static_cast<size_t>(rng.UniformInt(0, n - 1))];
+    VarId b = ids[static_cast<size_t>(rng.UniformInt(0, n - 1))];
+    terms.emplace_back(
+        rng.Uniform(1.0, 100.0),
+        std::vector<std::pair<VarId, int>>{
+            {a, static_cast<int>(rng.UniformInt(1, 2))},
+            {b, static_cast<int>(rng.UniformInt(1, 2))}});
+    if (j > 0 && rng.Uniform(0.0, 1.0) < 0.3) {
+      terms.emplace_back(rng.Uniform(1.0, 100.0),
+                         std::vector<std::pair<VarId, int>>{{a, 1}});
+    }
+  }
+  PolynomialQuery q{0, Polynomial(std::move(terms)), 0.0};
+  Vector values(reg.size()), rates(reg.size());
+  for (size_t i = 0; i < reg.size(); ++i) {
+    values[i] = rng.Uniform(5.0, 100.0);
+    rates[i] = rng.Uniform(0.1, 3.0);
+  }
+  q.qab = 0.01 * q.p.Evaluate(values);
+  auto prev = SolveOptimalRefresh(q, values, rates, ddm);
+  ASSERT_TRUE(prev.ok()) << prev.status().ToString();
+  const GpVarMap map{prev->vars, /*has_secondary=*/false};
+  const size_t k = prev->vars.size();
+
+  // direction +1: every item past V + b; -1: past V - b (where that keeps
+  // the value positive); 0: mixed.
+  for (int direction : {+1, -1, 0}) {
+    SCOPED_TRACE("direction " + std::to_string(direction));
+    Vector moved = values;
+    for (size_t i = 0; i < k; ++i) {
+      const size_t v = static_cast<size_t>(prev->vars[i]);
+      const double step = prev->primary[i] * rng.Uniform(1.05, 2.0);
+      const bool down =
+          (direction < 0 || (direction == 0 && rng.Uniform(0.0, 1.0) < 0.5)) &&
+          values[v] - step > 0.1 * values[v];
+      moved[v] = down ? values[v] - step : values[v] + step;
+    }
+
+    // 1. The repaired point clears the condition by >= δ/2 (log space).
+    auto cond = SingleDabCondition(q.p, moved, q.qab, map);
+    ASSERT_TRUE(cond.ok());
+    Vector x = prev->primary;
+    ASSERT_TRUE(RepairWarmStart(*cond, map, ddm, rates, &x));
+    EXPECT_LE(std::log(cond->Evaluate(x)), -gp::kInteriorMargin / 2.0);
+
+    // 2. The warm solve takes no phase I.
+    obs::MetricRegistry registry;
+    gp::SolverOptions traced;
+    traced.registry = &registry;
+    auto warm = SolveOptimalRefresh(q, moved, rates, ddm, traced, &*prev);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    EXPECT_EQ(registry.GetCounter("gp.solver.phase1_solves")->value(), 0);
+    EXPECT_EQ(registry.GetCounter("gp.solver.warm_start_feasible")->value(), 1);
+
+    // 3. It reaches the cold optimum; the GP objective Σ rate(λ_i, b_i)
+    // is the reported recompute rate.
+    auto cold = SolveOptimalRefresh(q, moved, rates, ddm);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    EXPECT_NEAR(warm->recompute_rate, cold->recompute_rate,
+                1e-6 * cold->recompute_rate);
+  }
+
+  // 4. A point whose condition overflows is left untouched: phase I
+  // stays the fallback.
+  auto cond = SingleDabCondition(q.p, values, q.qab, map);
+  ASSERT_TRUE(cond.ok());
+  Vector x(k, 1e300);
+  const Vector before = x;
+  EXPECT_FALSE(std::isfinite(cond->Evaluate(x)));
+  EXPECT_FALSE(RepairWarmStart(*cond, map, ddm, rates, &x));
+  EXPECT_EQ(x, before);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndModels, OptimalRefreshRepairProperty,
+    ::testing::Values(RepairCase{1, DataDynamicsModel::kMonotonic},
+                      RepairCase{2, DataDynamicsModel::kMonotonic},
+                      RepairCase{3, DataDynamicsModel::kMonotonic},
+                      RepairCase{4, DataDynamicsModel::kMonotonic},
+                      RepairCase{5, DataDynamicsModel::kMonotonic},
+                      RepairCase{6, DataDynamicsModel::kRandomWalk},
+                      RepairCase{7, DataDynamicsModel::kRandomWalk},
+                      RepairCase{8, DataDynamicsModel::kRandomWalk},
+                      RepairCase{9, DataDynamicsModel::kRandomWalk},
+                      RepairCase{10, DataDynamicsModel::kRandomWalk}));
 
 }  // namespace
 }  // namespace polydab::core

@@ -627,6 +627,21 @@ TEST_F(RecoveryCodecTest, RestartRejectsItemFaultIdOutOfOrder) {
                        "item-fault records out of order");
 }
 
+TEST_F(RecoveryCodecTest, RestartRejectsInstrumentKindClash) {
+  // The restart's registry already holds this counter.
+  ExpectRestartRejects("reg",
+                       "\"k\":\"c\",\"name\":\"sim\\.coordinator\\.refreshes\"",
+                       "\"k\":\"g\",\"name\":\"sim.coordinator.refreshes\"",
+                       "clashes with the registry");
+}
+
+TEST_F(RecoveryCodecTest, RestartRejectsInstrumentNamedTwiceWithTwoKinds) {
+  // The fixture gauge takes a counter's name.
+  ExpectRestartRejects("reg", "\"name\":\"test\\.fixture\\.gauge\"",
+                       "\"name\":\"sim.coordinator.refreshes\"",
+                       "appears twice with different kinds");
+}
+
 TEST_F(RecoveryCodecTest, WalRoundTripsEveryRecordKind) {
   const std::string path = ::testing::TempDir() + "recovery_codec_rt.wal";
   std::remove(path.c_str());

@@ -208,6 +208,12 @@ TEST_F(SimTest, RegistryCountersMatchSimMetricsExactly) {
             solves);
   EXPECT_EQ(registry.GetHistogram("gp.solver.solve_seconds")->count(),
             solves);
+  // Warm-start repair (docs/SOLVER.md): every Dual-DAB replan's previous
+  // plan is pulled inside the new program, so no warm start falls back
+  // to phase I.
+  EXPECT_GT(registry.GetCounter("gp.solver.warm_started_solves")->value(), 0);
+  EXPECT_EQ(registry.GetCounter("gp.solver.warm_start_feasible")->value(),
+            registry.GetCounter("gp.solver.warm_started_solves")->value());
 }
 
 TEST_F(SimTest, RegistryDoesNotPerturbResults) {
