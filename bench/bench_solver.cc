@@ -13,6 +13,7 @@
 #include "core/multi_query.h"
 #include "core/optimal_refresh.h"
 #include "gp/solve_engine.h"
+#include "gp/solver_internal.h"
 
 namespace polydab::bench {
 namespace {
@@ -168,6 +169,62 @@ void BM_DualDabPpqEngineHit(benchmark::State& state) {
   if (engine.cache_hits() == 0) state.SkipWithError("memo never hit");
 }
 BENCHMARK(BM_DualDabPpqEngineHit)->Unit(benchmark::kMillisecond);
+
+void BM_NewtonSystem(benchmark::State& state) {
+  // One Newton iteration's linear algebra, outside any solve: assemble the
+  // barrier gradient and Hessian of a 12-item Dual-DAB program (25
+  // variables, 25 constraints) at its optimum, at the barrier weight a
+  // warm re-solve starts from, and solve for the Newton step.
+  Rng rng(12345);
+  Vector values(100), rates(100);
+  for (size_t i = 0; i < 100; ++i) {
+    values[i] = rng.Uniform(20.0, 200.0);
+    rates[i] = rng.Uniform(0.005, 0.1);
+  }
+  auto queries = workload::GeneratePortfolioQueries(
+      50, workload::QueryGenConfig(), values, &rng);
+  const PolynomialQuery* query = nullptr;
+  for (const PolynomialQuery& q : *queries) {
+    if (q.p.Variables().size() == 12) {
+      query = &q;
+      break;
+    }
+  }
+  if (query == nullptr) {
+    state.SkipWithError("no 12-item query");
+    return;
+  }
+  core::DualDabParams params;
+  params.mu = core::kDefaultMu;
+  auto program = core::DualDabGp(*query, values, rates, params);
+  if (!program.ok()) {
+    state.SkipWithError("program build failed");
+    return;
+  }
+  auto optimum = gp::SolveGp(*program);
+  if (!optimum.ok()) {
+    state.SkipWithError("setup solve failed");
+    return;
+  }
+  gp::internal::ConvexGp cg;
+  gp::internal::BuildConvexGp(*program, &cg);
+  Vector y(optimum->x.size());
+  for (size_t j = 0; j < y.size(); ++j) y[j] = std::log(optimum->x[j]);
+  const gp::SolverOptions options;
+  const double t = static_cast<double>(cg.constraints.size()) /
+                   options.duality_tol * 1e-4;
+  gp::internal::Workspace ws;
+  for (auto _ : state) {
+    auto phi = gp::internal::AssembleCenteringSystem(cg, y, t, &ws);
+    if (!phi.ok() ||
+        !SolveCholeskyInto(ws.hess, ws.grad, 0.0, &ws.chol, &ws.d).ok()) {
+      state.SkipWithError("Newton system failed");
+      break;
+    }
+    benchmark::DoNotOptimize(ws.d.data());
+  }
+}
+BENCHMARK(BM_NewtonSystem);
 
 void BM_AaoTenPpqs(benchmark::State& state) {
   Setup s = MakeSetup(10);

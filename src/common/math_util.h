@@ -15,6 +15,9 @@ namespace polydab {
 /// large exponents do not overflow. Returns -inf for an empty input.
 inline double LogSumExp(const std::vector<double>& z) {
   if (z.empty()) return -std::numeric_limits<double>::infinity();
+  // One finite term: the general path below computes z + log(exp(0)),
+  // and exp(0) = 1, log(1) = +0 are exact, so skip the two calls.
+  if (z.size() == 1 && std::isfinite(z[0])) return z[0] + 0.0;
   const double m = *std::max_element(z.begin(), z.end());
   if (!std::isfinite(m)) return m;
   double s = 0.0;

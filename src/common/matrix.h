@@ -55,6 +55,12 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
+  /// Row-major storage, for kernels that check the shape once per call
+  /// and then index rows directly instead of paying a bounds check per
+  /// entry.
+  double* data() { return data_.data(); }
+  const double* data() const { return data_.data(); }
+
   /// y = M x.
   Vector Multiply(const Vector& x) const;
 
@@ -79,6 +85,18 @@ class Matrix {
 /// ridge in range produces a valid factorization.
 Result<Vector> SolveCholesky(const Matrix& a, const Vector& b,
                              double reg = 0.0);
+
+/// \brief SolveCholesky without allocation: factors into \p l and writes
+/// the solution to \p x, both reused across calls (resized here; once
+/// their capacity suffices, no call touches the heap).
+///
+/// Reads only the lower triangle of \p a, so callers may assemble just
+/// that half. Every entry of the factor and of both triangular solves is
+/// the textbook k-ascending sum, so the result is bit-identical to a
+/// column-by-column factorization; the factorization merely runs four
+/// rows' independent sums side by side.
+Status SolveCholeskyInto(const Matrix& a, const Vector& b, double reg,
+                         Matrix* l, Vector* x);
 
 }  // namespace polydab
 

@@ -2,27 +2,13 @@
 
 namespace polydab::core {
 
-namespace {
-
-/// The assembled GP of one Dual-DAB solve: Build performs the assembly
-/// before the solve, Extract the read-out after it.
-struct DualDabProgram {
-  gp::GpProblem gp;
-  GpVarMap map;
-  Vector warm_x;          ///< packed (b, c, R) warm point, repaired
-  bool has_warm = false;  ///< warm point accepted (vars match, R > 0)
-};
-
-Result<DualDabProgram> BuildDualDabProgram(const PolynomialQuery& query,
-                                           const Vector& values,
-                                           const Vector& rates,
-                                           const DualDabParams& params,
-                                           const QueryDabs* warm) {
+Result<gp::GpProblem> DualDabGp(const PolynomialQuery& query,
+                                const Vector& values, const Vector& rates,
+                                const DualDabParams& params) {
   if (params.mu <= 0.0) {
     return Status::InvalidArgument("mu must be positive");
   }
-  DualDabProgram prog;
-  GpVarMap& map = prog.map;
+  GpVarMap map;
   map.vars = query.p.Variables();
   map.has_secondary = true;
   const size_t k = map.vars.size();
@@ -31,7 +17,7 @@ Result<DualDabProgram> BuildDualDabProgram(const PolynomialQuery& query,
   }
   const int r_index = static_cast<int>(2 * k);  // R after b's and c's
 
-  gp::GpProblem& gp_problem = prog.gp;
+  gp::GpProblem gp_problem;
   gp_problem.num_vars = static_cast<int>(2 * k + 1);
 
   // Objective: refresh stream + mu * recompute stream.
@@ -68,7 +54,31 @@ Result<DualDabProgram> BuildDualDabProgram(const PolynomialQuery& query,
                       map.CIndex(i), r_index, &rec);
     gp_problem.constraints.push_back(std::move(rec));
   }
+  return gp_problem;
+}
 
+namespace {
+
+/// The assembled GP of one Dual-DAB solve: Build performs the assembly
+/// before the solve, Extract the read-out after it.
+struct DualDabProgram {
+  gp::GpProblem gp;
+  GpVarMap map;
+  Vector warm_x;          ///< packed (b, c, R) warm point, repaired
+  bool has_warm = false;  ///< warm point accepted (vars match, R > 0)
+};
+
+Result<DualDabProgram> BuildDualDabProgram(const PolynomialQuery& query,
+                                           const Vector& values,
+                                           const Vector& rates,
+                                           const DualDabParams& params,
+                                           const QueryDabs* warm) {
+  DualDabProgram prog;
+  POLYDAB_ASSIGN_OR_RETURN(prog.gp, DualDabGp(query, values, rates, params));
+  GpVarMap& map = prog.map;
+  map.vars = query.p.Variables();
+  map.has_secondary = true;
+  const size_t k = map.vars.size();
   if (warm != nullptr && warm->vars == map.vars &&
       warm->recompute_rate > 0.0) {
     prog.warm_x.reserve(2 * k + 1);
@@ -78,7 +88,7 @@ Result<DualDabProgram> BuildDualDabProgram(const PolynomialQuery& query,
                        warm->secondary.end());
     prog.warm_x.push_back(warm->recompute_rate);
     prog.has_warm = true;
-    RepairWarmStart(gp_problem.constraints.front(), map, params.ddm, rates,
+    RepairWarmStart(prog.gp.constraints.front(), map, params.ddm, rates,
                     &prog.warm_x);
   }
   return prog;

@@ -32,6 +32,13 @@ struct DualDabParams {
   gp::SolverOptions solver;
 };
 
+/// The geometric program SolveDualDab solves, over (b_1..b_k, c_1..c_k, R)
+/// with the items in `query.p.Variables()` order; the validity condition is
+/// its first constraint.
+Result<gp::GpProblem> DualDabGp(const PolynomialQuery& query,
+                                const Vector& values, const Vector& rates,
+                                const DualDabParams& params);
+
 /// \brief Compute the Dual-DAB assignment for PPQ \p query at the current
 /// \p values with per-item rate estimates \p rates (dense, by VarId).
 ///

@@ -2,6 +2,31 @@
 
 namespace polydab::core {
 
+Result<gp::GpProblem> OptimalRefreshGp(const PolynomialQuery& query,
+                                       const Vector& values,
+                                       const Vector& rates,
+                                       DataDynamicsModel ddm) {
+  GpVarMap map;
+  map.vars = query.p.Variables();
+  map.has_secondary = false;
+  const size_t k = map.vars.size();
+  if (k == 0) {
+    return Status::InvalidArgument("query has no variables");
+  }
+
+  gp::GpProblem gp_problem;
+  gp_problem.num_vars = static_cast<int>(k);
+  for (size_t i = 0; i < k; ++i) {
+    AddRateTerm(ddm, rates[static_cast<size_t>(map.vars[i])],
+                map.BIndex(i), &gp_problem.objective);
+  }
+  POLYDAB_ASSIGN_OR_RETURN(
+      gp::Posynomial cond,
+      SingleDabCondition(query.p, values, query.qab, map));
+  gp_problem.constraints.push_back(std::move(cond));
+  return gp_problem;
+}
+
 namespace {
 
 /// The assembled GP of one refresh-optimal solve: Build performs the
@@ -18,30 +43,16 @@ Result<OptimalRefreshProgram> BuildOptimalRefreshProgram(
     const PolynomialQuery& query, const Vector& values, const Vector& rates,
     DataDynamicsModel ddm, const QueryDabs* warm) {
   OptimalRefreshProgram prog;
+  POLYDAB_ASSIGN_OR_RETURN(prog.gp,
+                           OptimalRefreshGp(query, values, rates, ddm));
   prog.ddm = ddm;
   GpVarMap& map = prog.map;
   map.vars = query.p.Variables();
   map.has_secondary = false;
-  const size_t k = map.vars.size();
-  if (k == 0) {
-    return Status::InvalidArgument("query has no variables");
-  }
-
-  gp::GpProblem& gp_problem = prog.gp;
-  gp_problem.num_vars = static_cast<int>(k);
-  for (size_t i = 0; i < k; ++i) {
-    AddRateTerm(ddm, rates[static_cast<size_t>(map.vars[i])],
-                map.BIndex(i), &gp_problem.objective);
-  }
-  POLYDAB_ASSIGN_OR_RETURN(
-      gp::Posynomial cond,
-      SingleDabCondition(query.p, values, query.qab, map));
-  gp_problem.constraints.push_back(std::move(cond));
-
   if (warm != nullptr && warm->vars == map.vars) {
     prog.warm_x = warm->primary;
     prog.has_warm = true;
-    RepairWarmStart(gp_problem.constraints.front(), map, ddm, rates,
+    RepairWarmStart(prog.gp.constraints.front(), map, ddm, rates,
                     &prog.warm_x);
   }
   return prog;

@@ -17,6 +17,14 @@
 
 namespace polydab::core {
 
+/// The geometric program SolveOptimalRefresh solves: one primary DAB per
+/// item in `query.p.Variables()` order, the validity condition as its only
+/// constraint.
+Result<gp::GpProblem> OptimalRefreshGp(const PolynomialQuery& query,
+                                       const Vector& values,
+                                       const Vector& rates,
+                                       DataDynamicsModel ddm);
+
 /// \brief Compute the refresh-optimal single-DAB assignment for PPQ
 /// \p query at the current \p values.
 ///

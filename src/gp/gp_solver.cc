@@ -65,76 +65,85 @@ void BuildSoa(const Posynomial& p, SoaPosy* sp) {
     }
     sp->term_off.push_back(static_cast<int>(sp->exp_var.size()));
   }
+  sp->vars = sp->exp_var;
+  std::sort(sp->vars.begin(), sp->vars.end());
+  sp->vars.erase(std::unique(sp->vars.begin(), sp->vars.end()),
+                 sp->vars.end());
 }
 
-/// Value, gradient, and (optionally) Hessian of one log-posynomial,
-/// accumulated into the given outputs with weight `w_grad` for the
-/// gradient and `w_hess`, `w_outer` for the two Hessian pieces:
-///   grad += w_grad * g
-///   hess += w_hess * (Σ w_k a_k a_kᵀ − g gᵀ) + w_outer * g gᵀ
-/// where g = Σ w_k a_k and w_k are the softmax weights. Scratch lives in
-/// \p ws (z, w, g), all fully overwritten.
-double Accumulate(const SoaPosy& p, const Vector& y, double w_grad,
-                  double w_hess, double w_outer, Vector* grad, Matrix* hess,
-                  Vector* g_out, Workspace* ws) {
-  const size_t n = y.size();
-  const int nt = p.num_terms();
-  ws->z.resize(static_cast<size_t>(nt));
-  for (int k = 0; k < nt; ++k) {
-    double s = p.logc[static_cast<size_t>(k)];
-    for (int idx = p.term_off[static_cast<size_t>(k)];
-         idx < p.term_off[static_cast<size_t>(k) + 1]; ++idx) {
-      s += p.exp_coef[static_cast<size_t>(idx)] *
-           y[static_cast<size_t>(p.exp_var[static_cast<size_t>(idx)])];
-    }
-    ws->z[static_cast<size_t>(k)] = s;
+/// Value F = log Σ_k e^{z_k} of one log-posynomial, its softmax weights
+/// w_k = e^{z_k − F} and its gradient g = Σ_k w_k a_k, into ws->z, ws->w
+/// and ws->g (on p.vars; ws->supp lists where g is nonzero). F is
+/// SoaPosy::Value's, bit for bit.
+double Softmax(const SoaPosy& p, const Vector& y, Workspace* ws) {
+  const double f = p.Value(y, &ws->z);
+  const size_t nt = p.logc.size();
+  ws->w.resize(nt);
+  if (ws->g.size() < y.size()) ws->g.resize(y.size());
+  double* g = ws->g.data();
+  for (int v : p.vars) g[v] = 0.0;
+  const int* off = p.term_off.data();
+  const int* var = p.exp_var.data();
+  const double* ec = p.exp_coef.data();
+  // A single finite term's weight is exp(±0) = 1 exactly.
+  const bool single = nt == 1 && std::isfinite(f);
+  for (size_t k = 0; k < nt; ++k) {
+    const double wk = single ? 1.0 : std::exp(ws->z[k] - f);
+    ws->w[k] = wk;
+    for (int idx = off[k]; idx < off[k + 1]; ++idx) g[var[idx]] += wk * ec[idx];
   }
-  const double f = LogSumExp(ws->z);
-  ws->g.assign(n, 0.0);
-  ws->w.resize(static_cast<size_t>(nt));
-  for (int k = 0; k < nt; ++k) {
-    const double wk = std::exp(ws->z[static_cast<size_t>(k)] - f);
-    ws->w[static_cast<size_t>(k)] = wk;
-    for (int idx = p.term_off[static_cast<size_t>(k)];
-         idx < p.term_off[static_cast<size_t>(k) + 1]; ++idx) {
-      ws->g[static_cast<size_t>(p.exp_var[static_cast<size_t>(idx)])] +=
-          wk * p.exp_coef[static_cast<size_t>(idx)];
-    }
+  ws->supp.clear();
+  for (int v : p.vars) {
+    if (g[v] != 0.0) ws->supp.push_back(v);
   }
-  if (grad != nullptr && w_grad != 0.0) {
-    for (size_t j = 0; j < n; ++j) (*grad)[j] += w_grad * ws->g[j];
-  }
-  if (hess != nullptr) {
-    // Σ w_k a_k a_kᵀ piece (sparse outer products per term).
-    if (w_hess != 0.0) {
-      for (int k = 0; k < nt; ++k) {
-        const double wk = ws->w[static_cast<size_t>(k)] * w_hess;
-        const int lo = p.term_off[static_cast<size_t>(k)];
-        const int hi = p.term_off[static_cast<size_t>(k) + 1];
-        for (int ii = lo; ii < hi; ++ii) {
-          const size_t vi = static_cast<size_t>(p.exp_var[static_cast<size_t>(ii)]);
-          const double ei = p.exp_coef[static_cast<size_t>(ii)];
-          for (int jj = lo; jj < hi; ++jj) {
-            (*hess)(vi, static_cast<size_t>(p.exp_var[static_cast<size_t>(jj)])) +=
-                wk * ei * p.exp_coef[static_cast<size_t>(jj)];
-          }
-        }
-      }
-    }
-    // (w_outer - w_hess) * g gᵀ piece (dense but only over support).
-    const double wo = w_outer - w_hess;
-    if (wo != 0.0) {
-      for (size_t i = 0; i < n; ++i) {
-        if (ws->g[i] == 0.0) continue;
-        for (size_t j = 0; j < n; ++j) {
-          if (ws->g[j] == 0.0) continue;
-          (*hess)(i, j) += wo * ws->g[i] * ws->g[j];
-        }
-      }
-    }
-  }
-  if (g_out != nullptr) g_out->assign(ws->g.begin(), ws->g.end());
   return f;
+}
+
+/// Add the weighted derivatives of the posynomial the last Softmax call
+/// evaluated:
+///   ws->grad += w_grad * g
+///   hess     += w_hess * (Σ w_k a_k a_kᵀ − g gᵀ) + w_outer * g gᵀ
+/// into the lower triangle of \p hess only. Each entry receives the same
+/// products in the same order as a full dense sweep would give it; zero
+/// entries of g contribute exact zeros there (for finite weights) and are
+/// skipped.
+void AddWeighted(const SoaPosy& p, double w_grad, double w_hess,
+                 double w_outer, Workspace* ws, Matrix* hess) {
+  POLYDAB_CHECK(hess->rows() == hess->cols());
+  POLYDAB_CHECK(p.vars.empty() ||
+                static_cast<size_t>(p.vars.back()) < hess->rows());
+  const double* g = ws->g.data();
+  for (int j : ws->supp) ws->grad[static_cast<size_t>(j)] += w_grad * g[j];
+  double* h = hess->data();
+  const size_t ld = hess->cols();
+  // Σ w_k a_k a_kᵀ piece (sparse outer products per term).
+  if (w_hess != 0.0) {
+    const int* off = p.term_off.data();
+    const int* var = p.exp_var.data();
+    const double* ec = p.exp_coef.data();
+    for (size_t k = 0; k < p.logc.size(); ++k) {
+      const double wk = ws->w[k] * w_hess;
+      for (int ii = off[k]; ii < off[k + 1]; ++ii) {
+        const int vi = var[ii];
+        const double ei = ec[ii];
+        double* row = h + static_cast<size_t>(vi) * ld;
+        for (int jj = off[k]; jj < off[k + 1]; ++jj) {
+          if (var[jj] <= vi) row[var[jj]] += wk * ei * ec[jj];
+        }
+      }
+    }
+  }
+  // (w_outer - w_hess) * g gᵀ piece, over the nonzero entries of g.
+  const double wo = w_outer - w_hess;
+  if (wo != 0.0) {
+    const int* supp = ws->supp.data();
+    for (size_t a = 0; a < ws->supp.size(); ++a) {
+      const int i = supp[a];
+      const double wgi = wo * g[i];
+      double* row = h + static_cast<size_t>(i) * ld;
+      for (size_t b = 0; b <= a; ++b) row[supp[b]] += wgi * g[supp[b]];
+    }
+  }
 }
 
 /// Barrier value phi(y) = t*F0(y) - Σ log(-Fi(y)); +inf when infeasible.
@@ -177,26 +186,11 @@ Result<int> CenterStep(const ConvexGp& cg, double t, const SolverOptions& opt,
   int counted = 0;
   const int hard_cap = 10 * opt.max_newton_per_stage;
   while (counted < opt.max_newton_per_stage && iter < hard_cap) {
-    ws->grad.assign(n, 0.0);
-    ws->hess.Resize(n, n);
-    Accumulate(cg.objective, *y, t, t, 0.0, &ws->grad, &ws->hess, nullptr,
-               ws);
-    for (const SoaPosy& c : cg.constraints) {
-      // First pass for the value only (cheap); needed for the weights.
-      const double fi = c.Value(*y, &ws->z);
-      if (fi >= 0.0) {
-        return Status::Internal("barrier stage entered infeasible point");
-      }
-      const double inv = 1.0 / (-fi);
-      // d/dy [-log(-Fi)] = grad Fi / (-Fi);
-      // d2    = Hess Fi/(-Fi) + grad grad^T / Fi^2.
-      Accumulate(c, *y, inv, inv, 1.0 / (fi * fi), &ws->grad, &ws->hess,
-                 nullptr, ws);
-    }
-
-    auto step = SolveCholesky(ws->hess, ws->grad);
-    if (!step.ok()) return step.status();
-    Vector d = std::move(step).value();
+    POLYDAB_ASSIGN_OR_RETURN(const double phi0,
+                             AssembleCenteringSystem(cg, *y, t, ws));
+    Status st = SolveCholeskyInto(ws->hess, ws->grad, 0.0, &ws->chol, &ws->d);
+    if (!st.ok()) return st;
+    Vector& d = ws->d;
     for (double& di : d) di = -di;
 
     double lambda2 = -Dot(ws->grad, d);
@@ -216,12 +210,11 @@ Result<int> CenterStep(const ConvexGp& cg, double t, const SolverOptions& opt,
       double reg = std::max(1e-12, 1e-10 * diag_max);
       bool fits = false;
       for (int attempt = 0; attempt < 40 && !fits; ++attempt) {
-        auto dstep = SolveCholesky(ws->hess, ws->grad, reg);
-        if (dstep.ok()) {
-          Vector d2 = std::move(dstep).value();
-          for (double& di : d2) di = -di;
-          if (InfNorm(d2) <= kMaxStepInf) {
-            d = std::move(d2);
+        if (SolveCholeskyInto(ws->hess, ws->grad, reg, &ws->chol, &ws->d2)
+                .ok()) {
+          for (double& di : ws->d2) di = -di;
+          if (InfNorm(ws->d2) <= kMaxStepInf) {
+            std::swap(ws->d, ws->d2);
             fits = true;
           }
         }
@@ -237,7 +230,6 @@ Result<int> CenterStep(const ConvexGp& cg, double t, const SolverOptions& opt,
     }
 
     // Backtracking line search on the true barrier value.
-    const double phi0 = BarrierValue(cg, *y, t, ws);
     double alpha = 1.0;
     ws->y_new.resize(n);
     for (int ls = 0; ls < 60; ++ls) {
@@ -279,40 +271,13 @@ Result<Vector> PhaseOne(const ConvexGp& cg, const SolverOptions& opt,
   for (int outer = 0; outer < opt.max_outer; ++outer) {
     // Damped Newton on  t*s - Σ log(s - Fi(y)).
     for (int iter = 0; iter < opt.max_newton_per_stage; ++iter) {
-      ws->grad.assign(n + 1, 0.0);
-      ws->hess.Resize(n + 1, n + 1);
-      ws->grad[n] = t;
-      bool bail = false;
-      for (const SoaPosy& c : cg.constraints) {
-        const double fi =
-            Accumulate(c, y, 0.0, 0.0, 0.0, nullptr, nullptr, &ws->gi, ws);
-        const double gap = s - fi;
-        if (gap <= 0.0) {
-          bail = true;
-          break;
-        }
-        const double inv = 1.0 / gap;
-        // Accumulate again with Hessian weights for the y-block:
-        // H_i/gap + g_i g_iᵀ/gap².
-        ws->hblock.Resize(n, n);
-        Accumulate(c, y, 0.0, inv, inv * inv, nullptr, &ws->hblock, nullptr,
-                   ws);
-        for (size_t i = 0; i < n; ++i) {
-          ws->grad[i] += inv * ws->gi[i];
-          for (size_t j = 0; j < n; ++j) {
-            ws->hess(i, j) += ws->hblock(i, j);
-          }
-          ws->hess(i, n) += -inv * inv * ws->gi[i];
-          ws->hess(n, i) += -inv * inv * ws->gi[i];
-        }
-        ws->grad[n] += -inv;
-        ws->hess(n, n) += inv * inv;
-      }
-      if (bail) break;
+      double val0 = 0.0;
+      if (!AssemblePhaseOneSystem(cg, y, s, t, ws, &val0)) break;
 
-      auto step = SolveCholesky(ws->hess, ws->grad);
-      if (!step.ok()) return step.status();
-      Vector d = std::move(step).value();
+      Status st =
+          SolveCholeskyInto(ws->hess, ws->grad, 0.0, &ws->chol, &ws->d);
+      if (!st.ok()) return st;
+      Vector& d = ws->d;
       for (double& di : d) di = -di;
       double lambda2 = -Dot(ws->grad, d);
       if (lambda2 / 2.0 < opt.inner_tol) break;
@@ -320,10 +285,6 @@ Result<Vector> PhaseOne(const ConvexGp& cg, const SolverOptions& opt,
 
       // Line search maintaining s - Fi(y) > 0. Phase I only needs *a*
       // strictly feasible point, so accept any trial that achieves one.
-      double val0 = t * s;
-      for (const SoaPosy& c : cg.constraints) {
-        val0 -= std::log(s - c.Value(y, &ws->z));
-      }
       double alpha = 1.0;
       ws->y_try.resize(n);
       for (int ls = 0; ls < 60; ++ls) {
@@ -425,18 +386,78 @@ int64_t RefillSoa(const Posynomial& p, SoaPosy* sp) {
 }  // namespace
 
 double SoaPosy::Value(const Vector& y, Vector* z) const {
-  const int nt = num_terms();
-  z->resize(static_cast<size_t>(nt));
-  for (int k = 0; k < nt; ++k) {
-    double s = logc[static_cast<size_t>(k)];
-    for (int idx = term_off[static_cast<size_t>(k)];
-         idx < term_off[static_cast<size_t>(k) + 1]; ++idx) {
-      s += exp_coef[static_cast<size_t>(idx)] *
-           y[static_cast<size_t>(exp_var[static_cast<size_t>(idx)])];
-    }
-    (*z)[static_cast<size_t>(k)] = s;
+  const size_t nt = logc.size();
+  z->resize(nt);
+  const int* off = term_off.data();
+  const int* var = exp_var.data();
+  const double* ec = exp_coef.data();
+  const double* yv = y.data();
+  for (size_t k = 0; k < nt; ++k) {
+    double s = logc[k];
+    for (int idx = off[k]; idx < off[k + 1]; ++idx) s += ec[idx] * yv[var[idx]];
+    (*z)[k] = s;
   }
   return LogSumExp(*z);
+}
+
+Result<double> AssembleCenteringSystem(const ConvexGp& cg, const Vector& y,
+                                       double t, Workspace* ws) {
+  const size_t n = y.size();
+  ws->grad.assign(n, 0.0);
+  ws->hess.Resize(n, n);
+  // phi0 is summed in BarrierValue's order from the same F values.
+  double phi = t * Softmax(cg.objective, y, ws);
+  AddWeighted(cg.objective, t, t, 0.0, ws, &ws->hess);
+  for (const SoaPosy& c : cg.constraints) {
+    const double fi = Softmax(c, y, ws);
+    if (fi >= 0.0) {
+      return Status::Internal("barrier stage entered infeasible point");
+    }
+    const double inv = 1.0 / (-fi);
+    // d/dy [-log(-Fi)] = grad Fi / (-Fi);
+    // d2    = Hess Fi/(-Fi) + grad grad^T / Fi^2.
+    AddWeighted(c, inv, inv, 1.0 / (fi * fi), ws, &ws->hess);
+    phi -= std::log(-fi);
+  }
+  return phi;
+}
+
+bool AssemblePhaseOneSystem(const ConvexGp& cg, const Vector& y, double s,
+                            double t, Workspace* ws, double* val) {
+  const size_t n = y.size();
+  ws->grad.assign(n + 1, 0.0);
+  ws->hess.Resize(n + 1, n + 1);
+  ws->hblock.Resize(n, n);
+  ws->grad[n] = t;
+  double* h = ws->hess.data();
+  const size_t ld = n + 1;
+  double* hb = ws->hblock.data();
+  double v = t * s;
+  for (const SoaPosy& c : cg.constraints) {
+    const double fi = Softmax(c, y, ws);
+    const double gap = s - fi;
+    if (gap <= 0.0) return false;
+    const double inv = 1.0 / gap;
+    // The y-block H_i/gap + g_i g_iᵀ/gap² is summed on its own, then
+    // added to the system, entry by entry over this constraint's
+    // variables (its block is zero elsewhere).
+    const std::vector<int>& vars = c.vars;
+    for (size_t a = 0; a < vars.size(); ++a) {
+      for (size_t b = 0; b <= a; ++b) hb[vars[a] * n + vars[b]] = 0.0;
+    }
+    AddWeighted(c, inv, inv, inv * inv, ws, &ws->hblock);
+    for (size_t a = 0; a < vars.size(); ++a) {
+      for (size_t b = 0; b <= a; ++b) {
+        h[vars[a] * ld + vars[b]] += hb[vars[a] * n + vars[b]];
+      }
+    }
+    for (int i : ws->supp) h[n * ld + i] += -inv * inv * ws->g[i];
+    ws->grad[n] += -inv;
+    h[n * ld + n] += inv * inv;
+    v -= std::log(gap);
+  }
+  *val = v;
+  return true;
 }
 
 Status ValidateGpProblem(const GpProblem& problem) {
@@ -589,7 +610,17 @@ Result<GpSolution> SolveConvexGp(const GpProblem& problem, const ConvexGp& cg,
       POLYDAB_ASSIGN_OR_RETURN(int nt2, run_barrier(&y, options.t0));
       return finish(y, nt2);
     }
-    POLYDAB_ASSIGN_OR_RETURN(y, PhaseOne(cg, options, y, stats, ws));
+    Result<Vector> feasible = PhaseOne(cg, options, y, stats, ws);
+    if (!feasible.ok() && warm_start != nullptr) {
+      // Phase I can strand far from the feasible set (a warm point at
+      // 1e300, say) on programs it solves from the origin. Retry it once
+      // from there, as the failed-barrier restart above does.
+      stats->cold_restart = true;
+      std::fill(y.begin(), y.end(), 0.0);
+      feasible = PhaseOne(cg, options, y, stats, ws);
+    }
+    if (!feasible.ok()) return feasible.status();
+    y = std::move(feasible).value();
   }
 
   POLYDAB_ASSIGN_OR_RETURN(int nt, run_barrier(&y, options.t0));

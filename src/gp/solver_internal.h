@@ -38,6 +38,7 @@ struct SoaPosy {
   std::vector<int> term_off;  ///< size num_terms()+1
   std::vector<int> exp_var;
   std::vector<double> exp_coef;
+  std::vector<int> vars;  ///< distinct exp_var entries, ascending
 
   int num_terms() const { return static_cast<int>(logc.size()); }
 
@@ -59,13 +60,16 @@ struct ConvexGp {
 struct Workspace {
   Vector z;      ///< per-term log values
   Vector w;      ///< softmax weights
-  Vector g;      ///< accumulated gradient of one posynomial
-  Vector gi;     ///< phase-I saved constraint gradient
+  Vector g;      ///< gradient of one posynomial; valid on its `vars` only
+  std::vector<int> supp;  ///< the entries of `vars` where g is nonzero
   Vector grad;   ///< Newton gradient
+  Vector d;      ///< Newton step
+  Vector d2;     ///< damped-retry candidate step
   Vector y_new;  ///< line-search trial point
   Vector y_try;  ///< phase-I line-search trial point
-  Matrix hess;   ///< Newton Hessian
+  Matrix hess;   ///< Newton Hessian, lower triangle only
   Matrix hblock; ///< phase-I per-constraint Hessian block
+  Matrix chol;   ///< Cholesky factor of hess
 };
 
 /// Per-solve work counters, always accumulated (trivially cheap ints) and
@@ -78,6 +82,22 @@ struct SolveStats {
   bool warm_feasible = false;      ///< warm start accepted AND solve used it
   bool cold_restart = false;       ///< warm centering failed; retried cold
 };
+
+/// Assemble the Newton system of the barrier t·F0(y) − Σ log(−Fi(y)) at
+/// \p y: the gradient into ws->grad and the lower triangle of the
+/// Hessian into ws->hess (the upper triangle stays zero). Returns the
+/// barrier value at \p y, bit-equal to evaluating it afresh, or Internal
+/// when a constraint is not strictly satisfied.
+Result<double> AssembleCenteringSystem(const ConvexGp& cg, const Vector& y,
+                                       double t, Workspace* ws);
+
+/// Assemble the phase-I Newton system of t·s − Σ log(s − Fi(y)) over the
+/// augmented variables (y, s): gradient into ws->grad, lower Hessian
+/// triangle into ws->hess. Returns false, leaving the system incomplete,
+/// when some Fi(y) >= s; otherwise stores the objective at (y, s) in
+/// \p val.
+bool AssemblePhaseOneSystem(const ConvexGp& cg, const Vector& y, double s,
+                            double t, Workspace* ws, double* val);
 
 /// Validation shared by SolveGp and the engine: nonempty objective,
 /// positive num_vars, variable indices in range.

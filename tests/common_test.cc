@@ -1,4 +1,7 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -6,6 +9,7 @@
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "reference_cholesky.h"
 
 namespace polydab {
 namespace {
@@ -140,6 +144,97 @@ TEST(MatrixTest, CholeskyRegularizesSemidefinite) {
   Vector check = a.Multiply(*x);
   EXPECT_NEAR(check[0], 1.0, 1e-5);
   EXPECT_NEAR(check[1], 1.0, 1e-5);
+}
+
+/// n x n matrix B Bᵀ with B random of the given rank (rank n: SPD). Only
+/// the lower triangle is meaningful to the solvers; the upper one is
+/// filled with garbage so a kernel that read it would be caught.
+Matrix RandomGram(size_t n, size_t rank, Rng* rng) {
+  std::vector<Vector> rows(n, Vector(rank));
+  for (Vector& r : rows) {
+    for (double& v : r) v = rng->Uniform(-1.0, 1.0);
+  }
+  Matrix a(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j <= i; ++j) {
+      double s = 0.0;
+      for (size_t k = 0; k < rank; ++k) s += rows[i][k] * rows[j][k];
+      a(i, j) = s;
+    }
+    for (size_t j = i + 1; j < n; ++j) a(i, j) = rng->Uniform(-1e3, 1e3);
+  }
+  return a;
+}
+
+Vector RandomVector(size_t n, Rng* rng) {
+  Vector b(n);
+  for (double& v : b) v = rng->Uniform(-10.0, 10.0);
+  return b;
+}
+
+void ExpectSameBits(const Vector& got, const Vector& want,
+                    const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(got[i]), std::bit_cast<uint64_t>(want[i]))
+        << label << " x[" << i << "]: " << got[i] << " vs " << want[i];
+  }
+}
+
+TEST(MatrixTest, CholeskyIntoMatchesReferenceBitwise) {
+  // Every n from 1 to 40 covers sizes below, at and past the four-row
+  // block, with every remainder count. The workspace is reused across
+  // sizes, growing and shrinking, as the solver's is.
+  Rng rng(17);
+  Matrix l;
+  Vector x;
+  for (size_t n = 1; n <= 40; ++n) {
+    const Matrix a = RandomGram(n, n, &rng);
+    const Vector b = RandomVector(n, &rng);
+    for (double reg : {0.0, 1e-3}) {
+      const std::string label =
+          "n=" + std::to_string(n) + " reg=" + std::to_string(reg);
+      auto want = reference::SolveCholesky(a, b, reg);
+      ASSERT_TRUE(want.ok()) << label;
+      ASSERT_TRUE(SolveCholeskyInto(a, b, reg, &l, &x).ok()) << label;
+      ExpectSameBits(x, *want, label);
+      auto wrapped = SolveCholesky(a, b, reg);
+      ASSERT_TRUE(wrapped.ok()) << label;
+      ExpectSameBits(*wrapped, *want, label + " wrapper");
+    }
+  }
+}
+
+TEST(MatrixTest, CholeskyIntoRidgeRetryMatchesReference) {
+  // Rank n/2: the plain factorization hits a zero pivot and the ridge
+  // grows until one succeeds; the retried solve must match too.
+  Rng rng(23);
+  Matrix l;
+  Vector x;
+  for (size_t n = 2; n <= 40; n += 3) {
+    const Matrix a = RandomGram(n, n / 2, &rng);
+    const Vector b = RandomVector(n, &rng);
+    const std::string label = "n=" + std::to_string(n);
+    auto want = reference::SolveCholesky(a, b);
+    ASSERT_TRUE(want.ok()) << label;
+    ASSERT_TRUE(SolveCholeskyInto(a, b, 0.0, &l, &x).ok()) << label;
+    ExpectSameBits(x, *want, label);
+  }
+}
+
+TEST(MatrixTest, CholeskyIntoRejectsIndefinite) {
+  // Eigenvalues ±1e30 with a zero diagonal: the ridge schedule (1e-12 up
+  // to 1e8, for a diagonal scale of 1) never lifts the negative one.
+  Matrix a(2, 2);
+  a(1, 0) = a(0, 1) = 1e30;
+  const Vector b(2, 1.0);
+  Matrix l;
+  Vector x;
+  EXPECT_EQ(SolveCholeskyInto(a, b, 0.0, &l, &x).code(),
+            StatusCode::kNotConverged);
+  EXPECT_EQ(reference::SolveCholesky(a, b).status().code(),
+            StatusCode::kNotConverged);
+  EXPECT_EQ(SolveCholesky(a, b).status().code(), StatusCode::kNotConverged);
 }
 
 TEST(VectorOpsTest, DotNormAxpy) {

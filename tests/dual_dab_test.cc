@@ -401,6 +401,27 @@ TEST_P(DualDabRepairProperty, RepairedWarmStartSkipsPhaseOne) {
   EXPECT_FALSE(std::isfinite(cond->Evaluate(x)));
   EXPECT_FALSE(RepairWarmStart(*cond, map, ddm, rates, &x));
   EXPECT_EQ(x, before);
+
+  // 5. Solving from that point still reaches the cold optimum. Where
+  // phase I strands from it, the solver retries phase I from the origin,
+  // which is exactly the cold solve.
+  QueryDabs far = *prev;
+  far.primary.assign(k, 1e300);
+  far.secondary.assign(k, 1e300);
+  obs::MetricRegistry registry;
+  DualDabParams traced = params;
+  traced.solver.registry = &registry;
+  auto solved = SolveDualDab(q, values, rates, traced, &far);
+  ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+  auto cold = SolveDualDab(q, values, rates, params);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  const double f_cold = DualObjective(*cold, values, rates, params);
+  EXPECT_NEAR(DualObjective(*solved, values, rates, params), f_cold,
+              1e-6 * f_cold);
+  if (registry.GetCounter("gp.solver.cold_restarts")->value() == 1) {
+    EXPECT_EQ(solved->primary, cold->primary);
+    EXPECT_EQ(solved->secondary, cold->secondary);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -267,6 +267,24 @@ TEST_P(OptimalRefreshRepairProperty, RepairedWarmStartSkipsPhaseOne) {
   EXPECT_FALSE(std::isfinite(cond->Evaluate(x)));
   EXPECT_FALSE(RepairWarmStart(*cond, map, ddm, rates, &x));
   EXPECT_EQ(x, before);
+
+  // 5. Solving from that point still reaches the cold optimum. Where
+  // phase I strands from it, the solver retries phase I from the origin,
+  // which is exactly the cold solve.
+  QueryDabs far = *prev;
+  far.primary = x;
+  obs::MetricRegistry registry;
+  gp::SolverOptions traced;
+  traced.registry = &registry;
+  auto solved = SolveOptimalRefresh(q, values, rates, ddm, traced, &far);
+  ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+  auto cold = SolveOptimalRefresh(q, values, rates, ddm);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_NEAR(solved->recompute_rate, cold->recompute_rate,
+              1e-6 * cold->recompute_rate);
+  if (registry.GetCounter("gp.solver.cold_restarts")->value() == 1) {
+    EXPECT_EQ(solved->primary, cold->primary);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
